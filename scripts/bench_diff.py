@@ -50,8 +50,7 @@ LOWER_IS_BETTER = ("seconds", "p99ns", "p999ns")
 # (hard <10% exit gate), so here it is informational.
 INFORMATIONAL = ("cecount", "duecount", "retrycount", "scrubcount",
                  "sparedrows", "poisonedrequests", "schedsteps",
-                 "memoffsteps", "fffraction", "sweepseconds",
-                 "telemetryoverheadpct")
+                 "sweepseconds", "telemetryoverheadpct")
 IDENTITY_FIELDS = ("label", "system", "workload", "queueDepth", "banks",
                    "design", "pagePolicy", "load", "cubes", "router")
 

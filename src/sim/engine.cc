@@ -24,7 +24,7 @@ ControllerStats::operator==(const ControllerStats& o) const
            retryCount == o.retryCount && scrubCount == o.scrubCount &&
            sparedRows == o.sparedRows &&
            poisonedRequests == o.poisonedRequests &&
-           // schedSteps/memoFfSteps and the telemetry fields (stallTicks,
+           // schedSteps and the telemetry fields (stallTicks,
            // breakdown histograms, timeSeries) deliberately excluded (see
            // engine.h): diagnostics of the run, not results — and
            // telemetry-on must compare equal to telemetry-off.
@@ -75,7 +75,6 @@ ControllerStats::merge(const ControllerStats& o)
     sparedRows += o.sparedRows;
     poisonedRequests += o.poisonedRequests;
     schedSteps += o.schedSteps;
-    memoFfSteps += o.memoFfSteps;
     for (std::size_t i = 0; i < kNumStallCauses; ++i)
         stallTicks[i] += o.stallTicks[i];
     queueNsHist.merge(o.queueNsHist);
@@ -283,8 +282,7 @@ ChannelControllerBase::pumpArrivals()
 
 void
 ChannelControllerBase::noteOpDone(std::uint64_t req_id, Tick data_end,
-                                  bool poisoned, Tick issue_at,
-                                  Tick retry_wait)
+                                  bool poisoned, Tick retry_wait)
 {
     auto it = inflight_.find(req_id);
     if (it == inflight_.end())
@@ -294,7 +292,7 @@ ChannelControllerBase::noteOpDone(std::uint64_t req_id, Tick data_end,
     st.poisoned |= poisoned;
     if (telemetry_) {
         if (st.firstIssue == kTickInvalid)
-            st.firstIssue = issue_at == kTickInvalid ? now_ : issue_at;
+            st.firstIssue = now_;
         st.retryTicks += retry_wait;
     }
     if (--st.opsRemaining == 0) {
@@ -321,8 +319,7 @@ ChannelControllerBase::noteOpDone(std::uint64_t req_id, Tick data_end,
 void
 ChannelControllerBase::noteSingleOpDone(std::uint64_t req_id, Tick arrival,
                                         Tick data_end, bool poisoned,
-                                        Tick issue_at, Tick retry_wait,
-                                        Tick link_delay)
+                                        Tick retry_wait, Tick link_delay)
 {
     --singleOpsPending_;
     ++completedCount_;
@@ -337,8 +334,7 @@ ChannelControllerBase::noteSingleOpDone(std::uint64_t req_id, Tick arrival,
     latencyNs_.sample(lat_ns);
     latencyHistNs_.sample(lat_ns);
     if (telemetry_) {
-        const Tick fi = issue_at == kTickInvalid ? now_ : issue_at;
-        telemetrySampleCompletion(arrival, data_end, fi, retry_wait,
+        telemetrySampleCompletion(arrival, data_end, now_, retry_wait,
                                   link_delay, slot);
     }
 }

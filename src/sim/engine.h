@@ -105,14 +105,18 @@ struct ControllerStats
 
     // ---- scheduling throughput (diagnostic; merge-added, not compared) ---
     /**
-     * Scheduling steps executed, and how many of those were covered by
-     * epoch-memoization fast-forward (mc/epoch.h). Their ratio is the
-     * per-run fast-forward coverage surfaced in RatePoint. Excluded from
-     * operator== because step counts are an implementation diagnostic:
-     * legacy/indexed and eager/streaming drives may legitimately chop
-     * idle jumps differently while producing identical results.
+     * Scheduling steps executed. Excluded from operator== because step
+     * counts are an implementation diagnostic: legacy/indexed and
+     * eager/streaming drives, and runUntil slicings (including a
+     * checkpoint/restore seam), may legitimately chop idle jumps
+     * differently while producing identical results.
      */
     std::uint64_t schedSteps = 0;
+    /**
+     * Always 0. Kept so existing readers of the field (the corpus
+     * benchmark's memo.ff_fraction) still compile and report zero
+     * coverage; nothing in the simulator writes or merges it.
+     */
     std::uint64_t memoFfSteps = 0;
 
     // ---- telemetry (sim/telemetry.h; empty with counters disabled) -------
@@ -371,21 +375,6 @@ class OutstandingOps
         return first;
     }
 
-    /**
-     * Backing storage, exposed for the epoch-memoization layer: a
-     * fast-forward fingerprints the entry multiset at an epoch boundary
-     * and rolls every entry forward by whole periods. A uniform shift
-     * preserves the heap property, so shiftAll never reorders.
-     */
-    const std::vector<Tick>& rawEntries() const { return heap_; }
-
-    void
-    shiftAll(Tick delta)
-    {
-        for (Tick& t : heap_)
-            t += delta;
-    }
-
     /** The raw heap array round-trips verbatim (heap order included). */
     void
     saveState(CheckpointWriter& w) const
@@ -473,11 +462,10 @@ class ChannelControllerBase : public IMemoryController
     /**
      * Attach an event sink for the timeline exporter (nullptr detaches).
      * With @p trace_commands the controller additionally installs a
-     * device trace that records one span per committed command — which
-     * disables epoch memoization (any device trace does), so the
+     * device trace that records one span per committed command; the
      * recorded timeline is byte-identical across thread counts and
      * runUntil slicings. Without it only coarse events are recorded
-     * (epoch fast-forwards, retries, spares, checkpoints).
+     * (retries, spares, checkpoints).
      */
     void
     attachTelemetrySink(TelemetrySink* sink, bool trace_commands = false)
@@ -568,8 +556,7 @@ class ChannelControllerBase : public IMemoryController
      * completion is poisoned if any of its ops were.
      */
     void noteOpDone(std::uint64_t req_id, Tick data_end,
-                    bool poisoned = false, Tick issue_at = kTickInvalid,
-                    Tick retry_wait = 0);
+                    bool poisoned = false, Tick retry_wait = 0);
 
     /**
      * Completion fast path for a request that decomposed into exactly one
@@ -577,33 +564,15 @@ class ChannelControllerBase : public IMemoryController
      * carries the arrival tick in the op): no in-flight map traffic.
      *
      * The trailing parameters feed the telemetry latency breakdown and
-     * default to "issued now, no retry, no link delay"; issue_at ==
-     * kTickInvalid reads as now_ (epoch replay passes the canonical
-     * issue tick explicitly, since its clock sits at the epoch base).
+     * default to "no retry, no link delay"; the op is taken as issued at
+     * now_.
      */
     void noteSingleOpDone(std::uint64_t req_id, Tick arrival, Tick data_end,
-                          bool poisoned = false,
-                          Tick issue_at = kTickInvalid, Tick retry_wait = 0,
+                          bool poisoned = false, Tick retry_wait = 0,
                           Tick link_delay = 0);
 
     /** Fill the base-owned fields of @p s (bytes, latency, bandwidth). */
     void fillBaseStats(ControllerStats& s) const;
-
-    /**
-     * Top the host window up from the bound source (no-op when none is
-     * bound). The epoch-memoization replay path admits recorded per-step
-     * counts directly instead of going through pumpArrivals, so it needs
-     * the refill half of the pump on its own.
-     */
-    void
-    refillIfBound()
-    {
-        if (source_ != nullptr)
-            refillFromSource();
-    }
-
-    /** True when no bound source remains (or none was ever bound). */
-    bool sourceDrained() const { return sourceDone_; }
 
     // ---- telemetry plumbing ---------------------------------------------
 

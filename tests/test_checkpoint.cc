@@ -204,10 +204,7 @@ TEST(Checkpoint, ConventionalRoundTrip)
         const char* label;
         McConfig cfg;
     };
-    McConfig memo_off;
-    memo_off.epochMemo = false;
-    for (const Case& c : {Case{"hbm4 memo on", McConfig{}},
-                          Case{"hbm4 memo off", memo_off},
+    for (const Case& c : {Case{"hbm4 default", McConfig{}},
                           Case{"hbm4 faults", faultyMcConfig()}}) {
         const auto make = [&] {
             return std::make_unique<ConventionalMc>(
@@ -229,10 +226,7 @@ TEST(Checkpoint, RomeRoundTrip)
         const char* label;
         RomeMcConfig cfg;
     };
-    RomeMcConfig memo_off;
-    memo_off.epochMemo = false;
-    for (const Case& c : {Case{"rome memo on", RomeMcConfig{}},
-                          Case{"rome memo off", memo_off},
+    for (const Case& c : {Case{"rome default", RomeMcConfig{}},
                           Case{"rome faults", faultyRomeConfig()}}) {
         const auto make = [&] {
             return std::make_unique<RomeMc>(dram, VbaDesign::adopted(),
@@ -311,6 +305,18 @@ TEST(Checkpoint, MismatchedRestoreIsFatal)
     cut.resize(cut.size() / 2);
     ConventionalMc fresh2(dram, bestBaselineMapping(dram.org), McConfig{});
     EXPECT_THROW(restoreControllerCheckpoint(fresh2, cut),
+                 std::runtime_error);
+
+    // Another format version: the envelope's version field (little-endian
+    // u32 after the magic) is checked before any state is read. A blob
+    // from the previous format is the realistic case.
+    auto old = blob;
+    const std::uint32_t prev = kCheckpointVersion - 1;
+    for (int i = 0; i < 4; ++i)
+        old[4 + static_cast<std::size_t>(i)] =
+            static_cast<std::uint8_t>(prev >> (8 * i));
+    ConventionalMc fresh3(dram, bestBaselineMapping(dram.org), McConfig{});
+    EXPECT_THROW(restoreControllerCheckpoint(fresh3, old),
                  std::runtime_error);
 }
 

