@@ -19,8 +19,9 @@
  *    1-cube saturated throughput (both at the overload grid point);
  *  - thread-count invariance: one 2-cube point re-run on 1 engine
  *    thread matches the pooled run bit for bit;
- *  - ServingDriver equivalence: a 1-cube node with the ideal link
- *    reproduces the plain ServingDriver result exactly.
+ *  - checkpoint resume: the same 2-cube point snapshotted a third of
+ *    the way in and resumed reproduces the straight run exactly, per
+ *    cube and per channel, link queuing included.
  * `--quick` runs a reduced grid for CI smoke.
  */
 
@@ -31,76 +32,18 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/json_writer.h"
 #include "common/table.h"
 #include "common/types.h"
 #include "dram/hbm4_config.h"
-#include "mc/mc.h"
-#include "rome/rome_mc.h"
 #include "sim/node.h"
-#include "sim/serving.h"
-#include "sim/source.h"
-#include "sim/trace.h"
 
 using namespace rome;
+using namespace rome::bench;
 
 namespace
 {
-
-ControllerFactory
-systemFactory(const std::string& system, const DramConfig& dram)
-{
-    if (system == "hbm4") {
-        return [dram] {
-            return std::make_unique<ConventionalMc>(
-                dram, bestBaselineMapping(dram.org), McConfig{});
-        };
-    }
-    return [dram] {
-        return std::make_unique<RomeMc>(dram, VbaDesign::adopted(),
-                                        RomeMcConfig{});
-    };
-}
-
-/** Request count and mean size of a workload source. */
-struct TraceShape
-{
-    std::uint64_t requests = 0;
-    double meanBytes = 0.0;
-};
-
-TraceShape
-scanSource(RequestSource& src)
-{
-    TraceShape shape;
-    std::uint64_t bytes = 0;
-    Request r;
-    while (src.next(r)) {
-        ++shape.requests;
-        bytes += r.size;
-    }
-    if (shape.requests > 0)
-        shape.meanBytes = static_cast<double>(bytes) /
-                          static_cast<double>(shape.requests);
-    return shape;
-}
-
-/**
- * One corpus trace as a system stream. The short per-model traces loop
- * (RepeatSource) so node runs are long enough for tail percentiles;
- * @p cap bounds the span for --quick smoke runs.
- */
-SourceFactory
-workloadSource(const std::string& path, bool loop, std::uint64_t cap)
-{
-    return [path, loop, cap]() -> std::unique_ptr<RequestSource> {
-        std::unique_ptr<RequestSource> src =
-            std::make_unique<TraceSource>(path);
-        if (loop)
-            src = std::make_unique<RepeatSource>(std::move(src), 64);
-        return trimWindow(std::move(src), 0, cap);
-    };
-}
 
 /** The node link used by every grid point (see file header). */
 LinkConfig
@@ -266,8 +209,8 @@ main(int argc, char** argv)
 
     // --- Self-check 2: thread-count invariance of a 2-cube point ------
     bool deterministic = true;
-    // --- Self-check 3: 1-cube ideal-link node == ServingDriver --------
-    bool serving_identical = true;
+    // --- Self-check 3: 2-cube checkpoint resume == straight run --------
+    bool resume_exact = true;
     {
         const std::string path =
             std::string(ROME_SOURCE_DIR) + "/tests/data/serving.trace";
@@ -292,25 +235,28 @@ main(int argc, char** argv)
             deterministic = serial.aggregate == pooled.aggregate &&
                             serial.finishedAt == pooled.finishedAt;
 
-            NodeConfig one = cfg;
-            one.numCubes = 1;
-            one.link = LinkConfig::idealLink();
-            const NodeResult node = NodeDriver(one).run(rps);
-            ServingConfig scfg;
-            scfg.makeController = one.makeController;
-            scfg.makeSystemSource = one.makeSystemSource;
-            scfg.numChannels = channels;
-            const ServingResult plain = ServingDriver(scfg).run(rps);
-            serving_identical = node.aggregate == plain.aggregate &&
-                                node.finishedAt == plain.finishedAt;
+            const NodeDriver driver(cfg);
+            const NodeResult resumed = driver.resume(
+                driver.runToCheckpoint(rps, pooled.finishedAt / 3));
+            resume_exact =
+                resumed.aggregate == pooled.aggregate &&
+                resumed.finishedAt == pooled.finishedAt &&
+                resumed.linkQueueDelayNs == pooled.linkQueueDelayNs;
+            for (std::size_t c = 0; c < pooled.perCube.size(); ++c) {
+                const CubeResult& a = pooled.perCube[c];
+                const CubeResult& b = resumed.perCube[c];
+                resume_exact = resume_exact && b.stats == a.stats &&
+                               b.perChannel == a.perChannel &&
+                               b.routedRequests == a.routedRequests;
+            }
         }
     }
 
     std::printf("\n2-cube scaling >= 1.8x: %s | thread-count invariant: "
-                "%s | 1-cube ideal == ServingDriver: %s\n",
+                "%s | checkpoint resume exact: %s\n",
                 scales ? "yes" : "NO — BUG",
                 deterministic ? "yes" : "NO — BUG",
-                serving_identical ? "yes" : "NO — BUG");
+                resume_exact ? "yes" : "NO — BUG");
 
     JsonWriter json;
     json.beginObject();
@@ -319,7 +265,7 @@ main(int argc, char** argv)
     json.key("channelsPerCube").value(channels);
     json.key("scalesAtTwoCubes").value(scales);
     json.key("threadCountInvariant").value(deterministic);
-    json.key("servingDriverIdentical").value(serving_identical);
+    json.key("checkpointResumeExact").value(resume_exact);
     json.key("rows").beginArray();
     for (const auto& row : rows) {
         json.beginObject();
@@ -341,5 +287,5 @@ main(int argc, char** argv)
     const bool wrote = writeTextFile("BENCH_node.json", json.str());
     std::printf("%s BENCH_node.json\n",
                 wrote ? "wrote" : "FAILED to write");
-    return scales && deterministic && serving_identical && wrote ? 0 : 1;
+    return scales && deterministic && resume_exact && wrote ? 0 : 1;
 }

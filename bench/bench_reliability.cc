@@ -31,19 +31,17 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/json_writer.h"
 #include "common/table.h"
 #include "common/types.h"
 #include "dram/hbm4_config.h"
-#include "mc/mc.h"
 #include "rome/ecc.h"
-#include "rome/rome_mc.h"
 #include "sim/fault.h"
 #include "sim/serving.h"
-#include "sim/source.h"
-#include "sim/trace.h"
 
 using namespace rome;
+using namespace rome::bench;
 
 namespace
 {
@@ -59,40 +57,6 @@ faultConfigAt(double transient_rate, std::uint64_t seed)
     f.weakRowFraction = 1e-3;
     f.stuckRowFraction = 1e-4;
     return f;
-}
-
-ControllerFactory
-systemFactory(const std::string& system, const DramConfig& dram,
-              const FaultConfig& faults)
-{
-    if (system == "hbm4") {
-        return [dram, faults] {
-            McConfig mc;
-            mc.faults = faults;
-            return std::make_unique<ConventionalMc>(
-                dram, bestBaselineMapping(dram.org), mc);
-        };
-    }
-    return [dram, faults] {
-        RomeMcConfig mc;
-        mc.faults = faults;
-        return std::make_unique<RomeMc>(dram, VbaDesign::adopted(), mc);
-    };
-}
-
-/** Mean request size of a source (for the offered-rate calibration). */
-double
-meanRequestBytes(RequestSource& src)
-{
-    std::uint64_t bytes = 0;
-    std::uint64_t n = 0;
-    Request r;
-    while (src.next(r)) {
-        ++n;
-        bytes += r.size;
-    }
-    return n > 0 ? static_cast<double>(bytes) / static_cast<double>(n)
-                 : 0.0;
 }
 
 struct ReliabilityRow
@@ -155,9 +119,7 @@ main(int argc, char** argv)
         return 1;
     }
     const std::uint64_t cap = quick ? 15000 : 60000;
-    const SourceFactory source = [path, cap] {
-        return trimWindow(std::make_unique<TraceSource>(path), 0, cap);
-    };
+    const SourceFactory source = workloadSource(path, false, cap);
 
     // Rate 0 is the faults-off baseline row; the top rates are chosen so
     // the 128-line RoMe codeword sees whole-percent CE probabilities per
@@ -169,7 +131,7 @@ main(int argc, char** argv)
     const std::uint64_t seed = 12345;
     const double load = 0.7; // fraction of cube peak, below the knee
 
-    const double mean_bytes = meanRequestBytes(*source());
+    const double mean_bytes = scanSource(*source()).meanBytes;
     if (mean_bytes <= 0.0) {
         std::fprintf(stderr, "empty serving trace\n");
         return 1;

@@ -27,84 +27,18 @@
 #include <thread>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/json_writer.h"
 #include "common/table.h"
 #include "common/types.h"
 #include "dram/hbm4_config.h"
-#include "mc/mc.h"
-#include "rome/hybrid.h"
-#include "rome/rome_mc.h"
 #include "sim/serving.h"
-#include "sim/source.h"
-#include "sim/trace.h"
 
 using namespace rome;
+using namespace rome::bench;
 
 namespace
 {
-
-ControllerFactory
-systemFactory(const std::string& system, const DramConfig& dram)
-{
-    if (system == "hbm4") {
-        return [dram] {
-            return std::make_unique<ConventionalMc>(
-                dram, bestBaselineMapping(dram.org), McConfig{});
-        };
-    }
-    if (system == "rome") {
-        return [dram] {
-            return std::make_unique<RomeMc>(dram, VbaDesign::adopted(),
-                                            RomeMcConfig{});
-        };
-    }
-    return [dram] {
-        return std::make_unique<HybridMc>(dram, HybridConfig{});
-    };
-}
-
-/** Request count and mean size of a workload source. */
-struct TraceShape
-{
-    std::uint64_t requests = 0;
-    double meanBytes = 0.0;
-};
-
-TraceShape
-scanSource(RequestSource& src)
-{
-    TraceShape shape;
-    std::uint64_t bytes = 0;
-    Request r;
-    while (src.next(r)) {
-        ++shape.requests;
-        bytes += r.size;
-    }
-    if (shape.requests > 0)
-        shape.meanBytes = static_cast<double>(bytes) /
-                          static_cast<double>(shape.requests);
-    return shape;
-}
-
-/**
- * The system stream of one corpus trace: the short decode/prefill phase
- * traces loop 64 times (RepeatSource) so their serving runs are long
- * enough for tail percentiles and a clean knee; everything runs through
- * the trimWindow preset — @p skip drops a warm-up prefix, @p cap bounds
- * the span for --quick smoke runs.
- */
-SourceFactory
-workloadSource(const std::string& path, bool loop, std::uint64_t cap,
-               std::uint64_t skip = 0)
-{
-    return [path, loop, cap, skip]() -> std::unique_ptr<RequestSource> {
-        std::unique_ptr<RequestSource> src =
-            std::make_unique<TraceSource>(path);
-        if (loop)
-            src = std::make_unique<RepeatSource>(std::move(src), 64);
-        return trimWindow(std::move(src), skip, cap);
-    };
-}
 
 struct CurveRow
 {
@@ -113,29 +47,6 @@ struct CurveRow
     double load = 0.0; ///< offered rate as a fraction of cube peak
     RatePoint pt;
 };
-
-/**
- * Exact field-by-field equality for merged-sweep verification: the
- * sharded walk must reproduce the serial curve bit-for-bit, doubles
- * included — every point is a self-contained run, so even the
- * histogram-derived percentiles admit no tolerance.
- */
-bool
-samePoint(const RatePoint& a, const RatePoint& b)
-{
-    return a.offeredRps == b.offeredRps &&
-           a.achievedRps == b.achievedRps &&
-           a.completedRequests == b.completedRequests &&
-           a.p50Ns == b.p50Ns && a.p90Ns == b.p90Ns &&
-           a.p99Ns == b.p99Ns && a.p999Ns == b.p999Ns &&
-           a.maxNs == b.maxNs && a.meanNs == b.meanNs &&
-           a.effectiveBandwidth == b.effectiveBandwidth &&
-           a.saturated == b.saturated && a.ceCount == b.ceCount &&
-           a.dueCount == b.dueCount && a.retryCount == b.retryCount &&
-           a.scrubCount == b.scrubCount && a.sparedRows == b.sparedRows &&
-           a.poisonedRequests == b.poisonedRequests &&
-           a.schedSteps == b.schedSteps;
-}
 
 double
 secondsSince(std::chrono::steady_clock::time_point t0)
@@ -205,11 +116,11 @@ main(int argc, char** argv)
             cfg.makeController = systemFactory(system, dram);
             cfg.makeSystemSource = source;
             cfg.numChannels = channels;
-            const ServingDriver driver(cfg);
-            const RateSweep sweep = runRateSweep(driver, rates);
+            const NodeRateSweep sweep =
+                runNodeRateSweep(ServingDriver(cfg).node(), rates);
 
             for (std::size_t i = 0; i < sweep.points.size(); ++i) {
-                const RatePoint& pt = sweep.points[i];
+                const RatePoint& pt = sweep.points[i].node;
                 rows.push_back({system, workload, loads[i], pt});
                 t.addRow({system, workload, Table::num(loads[i], 2),
                           Table::num(pt.offeredRps / 1e6, 2),
@@ -226,13 +137,13 @@ main(int argc, char** argv)
                         (sweep.kneeIndex < 0
                              ? static_cast<int>(sweep.points.size())
                              : sweep.kneeIndex) &&
-                    pt.p99Ns < sweep.points[i - 1].p99Ns) {
+                    pt.p99Ns < sweep.points[i - 1].node.p99Ns) {
                     monotone = false;
                     std::fprintf(stderr,
                                  "NON-MONOTONE p99: %s/%s point %zu "
                                  "(%.0f -> %.0f ns)\n",
                                  system.c_str(), workload.c_str(), i,
-                                 sweep.points[i - 1].p99Ns, pt.p99Ns);
+                                 sweep.points[i - 1].node.p99Ns, pt.p99Ns);
                 }
             }
             if (sweep.kneeIndex >= 0) {
@@ -241,8 +152,8 @@ main(int argc, char** argv)
                             system.c_str(), workload.c_str(),
                             loads[static_cast<std::size_t>(
                                 sweep.kneeIndex)],
-                            sweep.knee()->achievedRps / 1e6,
-                            sweep.knee()->offeredRps / 1e6);
+                            sweep.knee()->node.achievedRps / 1e6,
+                            sweep.knee()->node.offeredRps / 1e6);
             }
         }
     }
@@ -302,11 +213,12 @@ main(int argc, char** argv)
                 rates.push_back(l * base_rps);
 
             auto t0 = std::chrono::steady_clock::now();
-            const RateSweep serial = runRateSweep(driver, rates, 0.05, 1);
+            const NodeRateSweep serial =
+                runNodeRateSweep(driver.node(), rates, 0.05, 1);
             serial_secs = secondsSince(t0);
             t0 = std::chrono::steady_clock::now();
-            const RateSweep sharded =
-                runRateSweep(driver, rates, 0.05, sweep_workers);
+            const NodeRateSweep sharded = runNodeRateSweep(
+                driver.node(), rates, 0.05, sweep_workers);
             sharded_secs = secondsSince(t0);
             sharded_speedup =
                 sharded_secs > 0.0 ? serial_secs / sharded_secs : 0.0;
@@ -317,7 +229,7 @@ main(int argc, char** argv)
             for (std::size_t i = 0;
                  sharded_identical && i < serial.points.size(); ++i)
                 sharded_identical =
-                    samePoint(serial.points[i], sharded.points[i]);
+                    serial.points[i].node == sharded.points[i].node;
             if (!sharded_identical)
                 std::fprintf(stderr, "SHARDED SWEEP DIVERGED from the "
                                      "serial walk — BUG\n");
@@ -353,16 +265,18 @@ main(int argc, char** argv)
             const double rps =
                 0.7 * cube_peak * 1e9 /
                 scanSource(*cfg.makeSystemSource()).meanBytes;
-            const ServingResult straight = driver.run(rps);
-            const CubeCheckpoint ck =
-                driver.runToCheckpoint(rps, straight.finishedAt / 3);
-            const ServingResult resumed = driver.resume(ck);
+            const NodeDriver& node = driver.node();
+            const NodeResult straight = node.run(rps);
+            const NodeCheckpoint ck =
+                node.runToCheckpoint(rps, straight.finishedAt / 3);
+            const NodeResult resumed = node.resume(ck);
             checkpoint_exact =
                 resumed.finishedAt == straight.finishedAt &&
                 resumed.offeredRps == straight.offeredRps &&
                 resumed.achievedRps == straight.achievedRps &&
                 resumed.aggregate == straight.aggregate &&
-                resumed.perChannel == straight.perChannel;
+                resumed.perCube[0].perChannel ==
+                    straight.perCube[0].perChannel;
             std::printf("checkpoint resume at tick %lld: %s\n",
                         static_cast<long long>(ck.takenAt),
                         checkpoint_exact ? "matches straight run exactly"

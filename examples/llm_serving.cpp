@@ -33,7 +33,7 @@ namespace
 {
 
 /** One cube's sweep along the shared offered-rate grid. */
-RateSweep
+NodeRateSweep
 sweepCube(MemorySystem sys, const DramConfig& dram,
           const ChannelWorkloadProfile& profile,
           const std::vector<double>& rates)
@@ -47,7 +47,7 @@ sweepCube(MemorySystem sys, const DramConfig& dram,
             profile, false, 4096, dram.org.channelCapacity());
     };
     cfg.numChannels = dram.org.channelsPerCube;
-    return runRateSweep(ServingDriver(cfg), rates);
+    return runNodeRateSweep(ServingDriver(cfg).node(), rates);
 }
 
 } // namespace
@@ -95,9 +95,9 @@ main(int argc, char** argv)
         rates.push_back(l * cube_peak * 1e9 /
                         profile.meanRequestBytes());
 
-    const RateSweep base =
+    const NodeRateSweep base =
         sweepCube(MemorySystem::Hbm4, dram, profile, rates);
-    const RateSweep rome_sweep =
+    const NodeRateSweep rome_sweep =
         sweepCube(MemorySystem::RoMe, dram, profile, rates);
 
     std::printf("cube serving curve (%d channels, %s decode traffic, "
@@ -106,13 +106,13 @@ main(int argc, char** argv)
     std::printf("  %-5s %-6s %12s %13s %9s %9s %10s\n", "cube", "load",
                 "offered Mrps", "achieved Mrps", "p50 us", "p99 us",
                 "p99.9 us");
-    const std::pair<const char*, const RateSweep*> cubes[] = {
+    const std::pair<const char*, const NodeRateSweep*> cubes[] = {
         {"HBM4", &base},
         {"RoMe", &rome_sweep},
     };
     for (const auto& [name, sweep] : cubes) {
         for (std::size_t i = 0; i < sweep->points.size(); ++i) {
-            const RatePoint& pt = sweep->points[i];
+            const RatePoint& pt = sweep->points[i].node;
             std::printf("  %-5s %-6.2f %12.2f %13.2f %9.2f %9.2f %10.2f"
                         "%s\n",
                         name, loads[i], pt.offeredRps / 1e6,

@@ -15,15 +15,22 @@ namespace rome
 // LinkModel
 // ---------------------------------------------------------------------------
 
+LinkModel::LinkModel(const LinkConfig& cfg, bool track_queue_delay)
+    : cfg_(cfg)
+{
+    if (track_queue_delay)
+        queueHist_ = std::make_unique<LatencyHistogram>();
+}
+
 Tick
 LinkModel::inject(Tick at, std::uint64_t bytes)
 {
     ++injected_;
     bytes_ += bytes;
     if (cfg_.ideal()) {
-        // Bypass: delivery == injection, bit for bit. This is the link
-        // the ServingDriver-equivalence proof runs over.
-        queueHist_.sample(0.0);
+        // Bypass: delivery == injection, bit for bit.
+        if (queueHist_)
+            queueHist_->sample(0.0);
         return at;
     }
     Tick start = std::max(at, busyUntil_);
@@ -53,7 +60,8 @@ LinkModel::inject(Tick at, std::uint64_t bytes)
     busyUntil_ = start + ser;
     if (cfg_.credits > 0)
         creditFree_.push_back(deliver + cfg_.latencyTicks);
-    queueHist_.sample(nsFromTicks(start - at));
+    if (queueHist_)
+        queueHist_->sample(nsFromTicks(start - at));
     return deliver;
 }
 
@@ -76,7 +84,8 @@ LinkModel::reset()
     injected_ = 0;
     bytes_ = 0;
     creditStall_ = 0;
-    queueHist_ = LatencyHistogram{};
+    if (queueHist_)
+        *queueHist_ = LatencyHistogram{};
 }
 
 // ---------------------------------------------------------------------------
@@ -127,7 +136,8 @@ mix64(std::uint64_t x)
 
 } // namespace
 
-NodeRouter::NodeRouter(const NodeRouterConfig& cfg) : cfg_(cfg)
+NodeRouter::NodeRouter(const NodeRouterConfig& cfg, bool track_queue_delay)
+    : cfg_(cfg)
 {
     if (cfg_.numCubes < 1)
         fatal("router needs at least one cube");
@@ -148,7 +158,7 @@ NodeRouter::NodeRouter(const NodeRouterConfig& cfg) : cfg_(cfg)
         fatal("router needs a nonzero address span");
     links_.reserve(static_cast<std::size_t>(cfg_.numCubes));
     for (int c = 0; c < cfg_.numCubes; ++c)
-        links_.emplace_back(cfg_.link);
+        links_.emplace_back(cfg_.link, track_queue_delay);
     rrCursor_.assign(static_cast<std::size_t>(pl.ppStages), 0);
 }
 
@@ -249,7 +259,7 @@ NodeRouter::reset()
 
 RoutedSource::RoutedSource(std::unique_ptr<RequestSource> system,
                            const NodeRouterConfig& cfg, int cube)
-    : system_(std::move(system)), router_(cfg), cube_(cube)
+    : system_(std::move(system)), router_(cfg, false), cube_(cube)
 {
     if (cube_ < 0 || cube_ >= cfg.numCubes)
         fatal("routed source cube %d out of range", cube_);
@@ -286,6 +296,230 @@ RoutedSource::rewind()
 // NodeDriver
 // ---------------------------------------------------------------------------
 
+namespace
+{
+
+/** Arrival mean gap for @p offered_rps, quantized to whole ticks. */
+Tick
+meanGapFor(double offered_rps)
+{
+    // NaN, infinite or near-zero rates have no representable tick gap.
+    if (!std::isfinite(offered_rps) || offered_rps < 1.0)
+        fatal("offered rate must be finite and >= 1 rps (got %g)",
+              offered_rps);
+    return std::max<Tick>(ticksFromNs(1e9 / offered_rps), 1);
+}
+
+/** A fresh system stream of @p cfg re-timed at @p mean_gap. */
+std::unique_ptr<RequestSource>
+timedStream(const NodeConfig& cfg, Tick mean_gap)
+{
+    ArrivalSpec spec;
+    spec.model = cfg.arrivalModel;
+    spec.seed = cfg.arrivalSeed;
+    spec.meanGap = mean_gap;
+    return std::make_unique<ArrivalProcess>(cfg.makeSystemSource(), spec);
+}
+
+NodeRouterConfig
+routerConfigOf(const NodeConfig& cfg)
+{
+    NodeRouterConfig rc;
+    rc.numCubes = cfg.numCubes;
+    rc.policy = cfg.policy;
+    rc.placement = cfg.placement;
+    rc.link = cfg.link;
+    rc.affinityBytes = cfg.affinityBytes;
+    rc.spanBytes = cfg.spanBytes;
+    return rc;
+}
+
+/**
+ * One cube behind the ideal link: the router would hand every request
+ * to that cube unchanged (same arrival, zero link delay), so channels
+ * shard the re-timed stream directly instead of each routing all of it.
+ */
+bool
+routesIdentically(const NodeConfig& cfg)
+{
+    return cfg.numCubes == 1 && cfg.link.ideal();
+}
+
+/** Requests and bytes one channel's source delivered. */
+struct RouteTally
+{
+    std::uint64_t requests = 0;
+    std::uint64_t bytes = 0;
+};
+
+/**
+ * Identity routing's stand-in for the router pass: passes a shard through
+ * unchanged and tallies what it delivers, so the routed counts need no
+ * extra decode of the system stream. A resume's fast-forward pulls
+ * through it too, so the tally always covers the whole stream.
+ */
+class TallySource final : public RequestSource
+{
+  public:
+    TallySource(std::unique_ptr<RequestSource> inner, RouteTally& tally)
+        : inner_(std::move(inner)), tally_(tally)
+    {
+    }
+
+  protected:
+    bool
+    produce(Request& out) override
+    {
+        if (!inner_->next(out))
+            return false;
+        ++tally_.requests;
+        tally_.bytes += out.size;
+        return true;
+    }
+
+    void
+    rewind() override
+    {
+        inner_->reset();
+        tally_ = RouteTally{};
+    }
+
+  private:
+    std::unique_ptr<RequestSource> inner_;
+    RouteTally& tally_;
+};
+
+/**
+ * Add one controller per channel to @p engine, cube-major, each fed its
+ * shard of the cube's stream re-timed at @p mean_gap: bound fresh, or
+ * with @p ck restored from its blob and fast-forwarded past the consumed
+ * prefix. Identity routing gives every channel a slot in @p tallies.
+ */
+void
+buildChannels(const NodeConfig& cfg, Tick mean_gap, const NodeCheckpoint* ck,
+              ChannelSimEngine& engine, std::vector<RouteTally>& tallies)
+{
+    // The arrival process re-times the *system* stream before routing
+    // and sharding: one node-wide open-loop load with global arrivals.
+    const SourceFactory timed = [&cfg, mean_gap] {
+        return timedStream(cfg, mean_gap);
+    };
+    const bool identity = routesIdentically(cfg);
+    if (identity)
+        tallies.resize(static_cast<std::size_t>(cfg.channelsPerCube));
+    const NodeRouterConfig rc = routerConfigOf(cfg);
+    for (int cube = 0; cube < cfg.numCubes; ++cube) {
+        const SourceFactory cube_stream =
+            identity ? timed : SourceFactory([&timed, rc, cube] {
+                return std::make_unique<RoutedSource>(timed(), rc, cube);
+            });
+        auto shards = shardAcrossChannels(cube_stream, cfg.channelsPerCube,
+                                          cfg.stripeBytes);
+        for (int ch = 0; ch < cfg.channelsPerCube; ++ch) {
+            auto mc = cfg.makeController();
+            if (!mc)
+                fatal("node controller factory produced no controller");
+            mc->setRetainCompletions(false);
+            const int idx = engine.addChannel(std::move(mc));
+            std::unique_ptr<RequestSource> src =
+                std::move(shards[static_cast<std::size_t>(ch)]);
+            if (identity) {
+                src = std::make_unique<TallySource>(
+                    std::move(src), tallies[static_cast<std::size_t>(ch)]);
+            }
+            if (ck == nullptr) {
+                engine.bindSource(idx, std::move(src));
+                continue;
+            }
+            restoreControllerCheckpoint(
+                engine.channel(idx),
+                ck->channels[static_cast<std::size_t>(idx)]);
+            engine.resumeSource(idx, std::move(src));
+        }
+    }
+}
+
+/** Drain @p engine and assemble per-channel, per-cube and node results. */
+NodeResult
+finishRun(const NodeConfig& cfg, Tick mean_gap, ChannelSimEngine& engine,
+          const std::vector<RouteTally>& tallies)
+{
+    NodeResult res;
+    // The gap quantizes to whole ticks; report the rate actually driven
+    // so the saturation test compares achieved throughput against what
+    // the arrival process really offered, not the pre-rounding request.
+    res.offeredRps = 1e9 / nsFromTicks(mean_gap);
+    res.finishedAt = engine.drainAll();
+    const auto rps = [&res](std::uint64_t completed) {
+        return res.finishedAt > 0 ? static_cast<double>(completed) /
+                                        nsFromTicks(res.finishedAt) * 1e9
+                                  : 0.0;
+    };
+    // Aggregate and per-cube stats merge the channel snapshots in
+    // ascending cube/channel order.
+    res.perCube.resize(static_cast<std::size_t>(cfg.numCubes));
+    for (int cube = 0; cube < cfg.numCubes; ++cube) {
+        CubeResult& cr = res.perCube[static_cast<std::size_t>(cube)];
+        cr.perChannel.reserve(static_cast<std::size_t>(cfg.channelsPerCube));
+        for (int ch = 0; ch < cfg.channelsPerCube; ++ch) {
+            cr.perChannel.push_back(
+                engine.channel(cube * cfg.channelsPerCube + ch).stats());
+            res.aggregate.merge(cr.perChannel.back());
+            cr.stats.merge(cr.perChannel.back());
+        }
+        cr.stats.deriveBandwidths();
+        cr.achievedRps = rps(cr.stats.completedRequests);
+    }
+    res.aggregate.deriveBandwidths();
+    res.achievedRps = rps(res.aggregate.completedRequests);
+
+    for (const RouteTally& t : tallies) {
+        res.perCube.front().routedRequests += t.requests;
+        res.perCube.front().routedBytes += t.bytes;
+    }
+    if (routesIdentically(cfg))
+        return res;
+
+    // Routing statistics: one dedicated router pass over a fresh timed
+    // stream (cheap next to the channel simulations). It reproduces the
+    // in-simulation routers' decisions exactly — routing is a pure
+    // function of the request sequence.
+    NodeRouter router(routerConfigOf(cfg));
+    const auto timed = timedStream(cfg, mean_gap);
+    std::vector<RoutedSlice> slices;
+    Request r;
+    while (timed->next(r)) {
+        slices.clear();
+        router.route(r, slices);
+        for (const RoutedSlice& s : slices) {
+            CubeResult& cr = res.perCube[static_cast<std::size_t>(s.cube)];
+            ++cr.routedRequests;
+            cr.routedBytes += s.req.size;
+        }
+    }
+    for (int cube = 0; cube < cfg.numCubes; ++cube)
+        res.linkQueueDelayNs.merge(router.link(cube).queueDelayHistNs());
+    // Telemetry: credit-exhaustion waits happen at the links, outside any
+    // controller, so the dedicated router pass is the one place that sees
+    // them. Fold them into the node aggregate's LinkCredit stall bucket —
+    // but only when the controllers themselves ran with telemetry, so a
+    // telemetry-off node result stays free of telemetry state.
+    std::uint64_t stall_total = 0;
+    for (const std::uint64_t t : res.aggregate.stallTicks)
+        stall_total += t;
+    if (stall_total > 0 || res.aggregate.queueNsHist.count() > 0 ||
+        res.aggregate.timeSeries.enabled()) {
+        std::uint64_t credit = 0;
+        for (int cube = 0; cube < cfg.numCubes; ++cube)
+            credit += router.link(cube).creditStallTicks();
+        res.aggregate.stallTicks[static_cast<std::size_t>(
+            StallCause::LinkCredit)] += credit;
+    }
+    return res;
+}
+
+} // namespace
+
 NodeDriver::NodeDriver(NodeConfig cfg) : cfg_(std::move(cfg))
 {
     if (!cfg_.makeController)
@@ -297,131 +531,112 @@ NodeDriver::NodeDriver(NodeConfig cfg) : cfg_(std::move(cfg))
     if (cfg_.channelsPerCube < 1)
         fatal("node driver needs at least one channel per cube");
     // Validate placement/topology eagerly (the router ctor checks).
-    NodeRouter probe(routerConfig());
+    NodeRouter probe(routerConfigOf(cfg_));
     (void)probe;
-}
-
-NodeRouterConfig
-NodeDriver::routerConfig() const
-{
-    NodeRouterConfig rc;
-    rc.numCubes = cfg_.numCubes;
-    rc.policy = cfg_.policy;
-    rc.placement = cfg_.placement;
-    rc.link = cfg_.link;
-    rc.affinityBytes = cfg_.affinityBytes;
-    rc.spanBytes = cfg_.spanBytes;
-    return rc;
 }
 
 NodeResult
 NodeDriver::run(double offered_rps) const
 {
-    if (offered_rps <= 0.0)
-        fatal("offered rate must be positive (got %g rps)", offered_rps);
-
-    // Identical arrival construction to ServingDriver::run — the
-    // single-cube ideal-link node is bit-identical to it because every
-    // step below degenerates to the same operations in the same order.
-    ArrivalSpec spec;
-    spec.model = cfg_.arrivalModel;
-    spec.seed = cfg_.arrivalSeed;
-    spec.meanGap = std::max<Tick>(ticksFromNs(1e9 / offered_rps), 1);
-    const double actual_rps = 1e9 / nsFromTicks(spec.meanGap);
-
-    const NodeRouterConfig rc = routerConfig();
+    const Tick gap = meanGapFor(offered_rps);
+    std::vector<RouteTally> tallies;
     ChannelSimEngine engine(cfg_.threads);
-    for (int cube = 0; cube < cfg_.numCubes; ++cube) {
-        // One routed per-cube stream, sharded across the cube's channels
-        // exactly like ServingDriver shards the system stream: every
-        // channel regenerates system stream + router privately, so
-        // channels share no mutable state at any cube count.
-        const SourceFactory cube_stream = [this, spec, rc, cube] {
-            return std::make_unique<RoutedSource>(
-                std::make_unique<ArrivalProcess>(cfg_.makeSystemSource(),
-                                                 spec),
-                rc, cube);
-        };
-        auto shards = shardAcrossChannels(cube_stream, cfg_.channelsPerCube,
-                                          cfg_.stripeBytes);
-        for (int ch = 0; ch < cfg_.channelsPerCube; ++ch) {
-            auto mc = cfg_.makeController();
-            if (!mc)
-                fatal("node controller factory produced no controller");
-            mc->setRetainCompletions(false);
-            const int idx = engine.addChannel(std::move(mc));
-            engine.bindSource(
-                idx, std::move(shards[static_cast<std::size_t>(ch)]));
-        }
-    }
+    buildChannels(cfg_, gap, nullptr, engine, tallies);
+    return finishRun(cfg_, gap, engine, tallies);
+}
 
-    NodeResult res;
-    res.offeredRps = actual_rps;
-    res.finishedAt = engine.drainAll();
-    res.perCube.resize(static_cast<std::size_t>(cfg_.numCubes));
-    // Aggregate merges every channel snapshot in ascending cube/channel
-    // order — the exact merge sequence ServingDriver uses for one cube,
-    // extended cube-major. Per-cube stats merge the same snapshots.
-    for (int cube = 0; cube < cfg_.numCubes; ++cube) {
-        CubeResult& cr = res.perCube[static_cast<std::size_t>(cube)];
-        for (int ch = 0; ch < cfg_.channelsPerCube; ++ch) {
-            const ControllerStats s =
-                engine.channel(cube * cfg_.channelsPerCube + ch).stats();
-            res.aggregate.merge(s);
-            cr.stats.merge(s);
-        }
-        cr.stats.deriveBandwidths();
-        if (res.finishedAt > 0) {
-            cr.achievedRps =
-                static_cast<double>(cr.stats.completedRequests) /
-                nsFromTicks(res.finishedAt) * 1e9;
-        }
-    }
-    res.aggregate.deriveBandwidths();
-    if (res.finishedAt > 0) {
-        res.achievedRps =
-            static_cast<double>(res.aggregate.completedRequests) /
-            nsFromTicks(res.finishedAt) * 1e9;
-    }
+NodeCheckpoint
+NodeDriver::runToCheckpoint(double offered_rps, Tick at) const
+{
+    if (at <= 0)
+        fatal("checkpoint tick must be positive (got %lld)",
+              static_cast<long long>(at));
+    NodeCheckpoint ck;
+    ck.meanGap = meanGapFor(offered_rps);
+    ck.arrivalModel = cfg_.arrivalModel;
+    ck.arrivalSeed = cfg_.arrivalSeed;
+    ck.numCubes = cfg_.numCubes;
+    ck.channelsPerCube = cfg_.channelsPerCube;
+    ck.takenAt = at;
+    std::vector<RouteTally> tallies;
+    ChannelSimEngine engine(cfg_.threads);
+    buildChannels(cfg_, ck.meanGap, nullptr, engine, tallies);
+    engine.runAllUntil(at);
+    for (int idx = 0; idx < engine.numChannels(); ++idx)
+        ck.channels.push_back(saveControllerCheckpoint(engine.channel(idx)));
+    return ck;
+}
 
-    // Routing statistics: one dedicated router pass over a fresh timed
-    // stream (cheap next to the channel simulations). It reproduces the
-    // in-simulation routers' decisions exactly — routing is a pure
-    // function of the request sequence.
-    NodeRouter router(rc);
-    auto timed = std::make_unique<ArrivalProcess>(cfg_.makeSystemSource(),
-                                                  spec);
-    std::vector<RoutedSlice> slices;
-    Request r;
-    while (timed->next(r)) {
-        slices.clear();
-        router.route(r, slices);
-        for (const RoutedSlice& s : slices) {
-            CubeResult& cr =
-                res.perCube[static_cast<std::size_t>(s.cube)];
-            ++cr.routedRequests;
-            cr.routedBytes += s.req.size;
-        }
+NodeResult
+NodeDriver::resume(const NodeCheckpoint& ck) const
+{
+    if (ck.arrivalModel != cfg_.arrivalModel ||
+        ck.arrivalSeed != cfg_.arrivalSeed || ck.numCubes != cfg_.numCubes ||
+        ck.channelsPerCube != cfg_.channelsPerCube) {
+        fatal("node checkpoint (arrival model %d, seed %llu, %d x %d "
+              "channels) does not match this driver (model %d, seed %llu, "
+              "%d x %d channels)",
+              static_cast<int>(ck.arrivalModel),
+              static_cast<unsigned long long>(ck.arrivalSeed), ck.numCubes,
+              ck.channelsPerCube, static_cast<int>(cfg_.arrivalModel),
+              static_cast<unsigned long long>(cfg_.arrivalSeed),
+              cfg_.numCubes, cfg_.channelsPerCube);
     }
-    for (int cube = 0; cube < cfg_.numCubes; ++cube)
-        res.linkQueueDelayNs.merge(router.link(cube).queueDelayHistNs());
-    // Telemetry: credit-exhaustion waits happen at the links, outside any
-    // controller, so the dedicated router pass is the one place that sees
-    // them. Fold them into the node aggregate's LinkCredit stall bucket —
-    // but only when the controllers themselves ran with telemetry, so a
-    // telemetry-off node result stays bit-identical to PR 9.
+    const int channels = cfg_.numCubes * cfg_.channelsPerCube;
+    if (ck.channels.size() != static_cast<std::size_t>(channels)) {
+        fatal("node checkpoint holds %zu channel blobs, expected %d",
+              ck.channels.size(), channels);
+    }
+    // Every channel's source regenerates the stream (and its router)
+    // independently, so each restored channel fast-forwards its own
+    // shard past the consumed prefix — no cross-channel coordination.
+    std::vector<RouteTally> tallies;
+    ChannelSimEngine engine(cfg_.threads);
+    buildChannels(cfg_, ck.meanGap, &ck, engine, tallies);
+    return finishRun(cfg_, ck.meanGap, engine, tallies);
+}
+
+RatePoint
+makeRatePoint(double offered_rps, double achieved_rps,
+              const ControllerStats& aggregate,
+              double saturation_tolerance)
+{
+    RatePoint pt;
+    pt.offeredRps = offered_rps;
+    pt.achievedRps = achieved_rps;
+    pt.completedRequests = aggregate.completedRequests;
+    pt.p50Ns = aggregate.latencyPercentileNs(50.0);
+    pt.p90Ns = aggregate.latencyPercentileNs(90.0);
+    pt.p99Ns = aggregate.latencyPercentileNs(99.0);
+    pt.p999Ns = aggregate.latencyPercentileNs(99.9);
+    pt.maxNs = aggregate.latencyHistNs.maxNs();
+    pt.meanNs = aggregate.latencyHistNs.meanNs();
+    pt.effectiveBandwidth = aggregate.effectiveBandwidth;
+    pt.ceCount = aggregate.ceCount;
+    pt.dueCount = aggregate.dueCount;
+    pt.retryCount = aggregate.retryCount;
+    pt.scrubCount = aggregate.scrubCount;
+    pt.sparedRows = aggregate.sparedRows;
+    pt.poisonedRequests = aggregate.poisonedRequests;
+    pt.schedSteps = aggregate.schedSteps;
     std::uint64_t stall_total = 0;
-    for (const std::uint64_t t : res.aggregate.stallTicks)
+    for (const std::uint64_t t : aggregate.stallTicks)
         stall_total += t;
-    if (stall_total > 0 || res.aggregate.queueNsHist.count() > 0 ||
-        res.aggregate.timeSeries.enabled()) {
-        std::uint64_t credit = 0;
-        for (int cube = 0; cube < cfg_.numCubes; ++cube)
-            credit += router.link(cube).creditStallTicks();
-        res.aggregate.stallTicks[static_cast<std::size_t>(
-            StallCause::LinkCredit)] += credit;
+    pt.telemetry = stall_total > 0 || aggregate.queueNsHist.count() > 0 ||
+                   aggregate.timeSeries.enabled();
+    if (pt.telemetry) {
+        pt.stallTicks = aggregate.stallTicks;
+        pt.queueMeanNs = aggregate.queueNsHist.meanNs();
+        pt.queueP99Ns = aggregate.queueNsHist.percentileNs(99.0);
+        pt.serviceMeanNs = aggregate.serviceNsHist.meanNs();
+        pt.serviceP99Ns = aggregate.serviceNsHist.percentileNs(99.0);
+        pt.retryMeanNs = aggregate.retryNsHist.meanNs();
+        pt.linkMeanNs = aggregate.linkNsHist.meanNs();
+        pt.timeSeries = aggregate.timeSeries;
     }
-    return res;
+    pt.saturated =
+        pt.achievedRps < pt.offeredRps * (1.0 - saturation_tolerance);
+    return pt;
 }
 
 NodeRateSweep
@@ -431,8 +646,9 @@ runNodeRateSweep(const NodeDriver& driver,
 {
     NodeRateSweep sweep;
     sweep.points.resize(offered_rps.size());
-    // Independent self-contained runs into per-index slots: the sharded
-    // walk merges to exactly the serial curve (see runRateSweep).
+    // Every point is a self-contained run into its own slot, so the
+    // sharded walk merges to exactly the serial result; the knee scan
+    // below runs in rate order either way.
     parallelFor(static_cast<int>(offered_rps.size()), workers, [&](int i) {
         const NodeResult res =
             driver.run(offered_rps[static_cast<std::size_t>(i)]);
@@ -456,6 +672,66 @@ runNodeRateSweep(const NodeDriver& driver,
         }
     }
     return sweep;
+}
+
+void
+ratePointJson(JsonWriter& w, const RatePoint& pt)
+{
+    w.key("offeredRps").value(pt.offeredRps);
+    w.key("achievedRps").value(pt.achievedRps);
+    w.key("completedRequests").value(pt.completedRequests);
+    w.key("latencyP50Ns").value(pt.p50Ns);
+    w.key("latencyP90Ns").value(pt.p90Ns);
+    w.key("latencyP99Ns").value(pt.p99Ns);
+    w.key("latencyP999Ns").value(pt.p999Ns);
+    w.key("latencyMaxNs").value(pt.maxNs);
+    w.key("latencyMeanNs").value(pt.meanNs);
+    w.key("effectiveBandwidth").value(pt.effectiveBandwidth);
+    w.key("saturated").value(pt.saturated);
+    w.key("ceCount").value(pt.ceCount);
+    w.key("dueCount").value(pt.dueCount);
+    w.key("retryCount").value(pt.retryCount);
+    w.key("scrubCount").value(pt.scrubCount);
+    w.key("sparedRows").value(pt.sparedRows);
+    w.key("poisonedRequests").value(pt.poisonedRequests);
+    w.key("schedSteps").value(pt.schedSteps);
+    // Telemetry keys appear only when the run enabled counters, so rows
+    // of a telemetry-off bench are byte-identical to the pre-telemetry
+    // schema. The nested objects/arrays are informational — the bench
+    // differ only compares scalar top-level values.
+    if (pt.telemetry) {
+        w.key("telemetry").value(true);
+        w.key("stallTicks").beginObject();
+        for (std::size_t i = 0; i < kNumStallCauses; ++i) {
+            w.key(stallCauseName(static_cast<StallCause>(i)))
+                .value(pt.stallTicks[i]);
+        }
+        w.endObject();
+        w.key("queueMeanNs").value(pt.queueMeanNs);
+        w.key("queueP99Ns").value(pt.queueP99Ns);
+        w.key("serviceMeanNs").value(pt.serviceMeanNs);
+        w.key("serviceP99Ns").value(pt.serviceP99Ns);
+        w.key("retryMeanNs").value(pt.retryMeanNs);
+        w.key("linkMeanNs").value(pt.linkMeanNs);
+        if (pt.timeSeries.enabled() && !pt.timeSeries.samples().empty()) {
+            w.key("timeSeries").beginObject();
+            w.key("periodNs").value(nsFromTicks(pt.timeSeries.period()));
+            w.key("samples").beginArray();
+            for (const TimeSample& s : pt.timeSeries.samples()) {
+                std::uint64_t stalled = 0;
+                for (const std::uint64_t t : s.stall)
+                    stalled += t;
+                w.beginObject();
+                w.key("completed").value(s.completed);
+                w.key("bytes").value(s.bytes);
+                w.key("occupancy").value(s.occupancy);
+                w.key("stallTicks").value(stalled);
+                w.endObject();
+            }
+            w.endArray();
+            w.endObject();
+        }
+    }
 }
 
 void

@@ -1,21 +1,20 @@
 /**
  * @file
- * Multi-cube node model: interconnect links, request router, placement.
+ * Node model and the serving driver: interconnect links, request router,
+ * placement, and the open-loop driver every serving run goes through.
  *
- * The serving harness (sim/serving.h) tops out at one 32-channel cube.
- * This layer models a *node*: N RoMe/HBM4 cubes behind a front-end
- * router and per-cube interconnect links, so "requests per node vs.
- * cube count" becomes a measurable axis.
+ * A *node* is N RoMe/HBM4 cubes behind a front-end router and per-cube
+ * interconnect links, so "requests per node vs. cube count" is a
+ * measurable axis. One cube behind the ideal link is the plain cube
+ * harness (ServingDriver in sim/serving.h is that view).
  *
  *  - LinkModel: a deterministic host→cube link with one-way latency,
  *    serialization bandwidth, and credit-based queuing. It is computed
  *    *feed-forward* from open-loop arrival times: a request's delivery
  *    tick depends only on the injection sequence so far, never on cube
- *    state — no lock-step coupling between cubes is needed, which is
- *    what lets it compose with controllers that are not slice-invariant
- *    (see ROADMAP). Per-link delivery times are provably nondecreasing,
- *    so routed per-cube streams honor the RequestSource arrival
- *    contract.
+ *    state, so no lock-step coupling between cubes is needed. Per-link
+ *    delivery times are provably nondecreasing, so routed per-cube
+ *    streams honor the RequestSource arrival contract.
  *  - NodePlacement: KV-cache/weight placement expressed through the
  *    existing llm/parallelism.h descriptors. Pipeline stages partition
  *    the modeled address span into disjoint cube groups (a request's
@@ -31,13 +30,16 @@
  *  - RoutedSource: one cube's slice stream — re-times a fresh system
  *    stream through a private router and yields only the slices
  *    delivered to that cube, arrival = link delivery tick.
- *  - NodeDriver / runNodeRateSweep: the ServingDriver/runRateSweep
- *    shape lifted to N cubes on one shared ChannelSimEngine pool.
- *    Aggregate tail latency stays exact (bucket-wise histogram merge in
- *    fixed cube/channel order) and results are independent of the
- *    engine thread count. A single-cube node with the ideal link is
- *    bit-identical to the plain ServingDriver (asserted by
- *    tests/test_node.cc).
+ *  - NodeDriver: re-times one system-wide stream with an open-loop
+ *    ArrivalProcess at the offered rate, routes it to cubes, shards each
+ *    cube's stream across its channels and drives them all on one
+ *    ChannelSimEngine pool. Aggregate tail latency is exact (bucket-wise
+ *    histogram merge in fixed cube/channel order), results are
+ *    independent of the engine thread count, and runToCheckpoint/resume
+ *    finish a snapshotted run bit-identically.
+ *  - runNodeRateSweep: one latency–throughput point per offered rate,
+ *    plus the saturation knee; ratePointJson/nodeRatePointJson write a
+ *    point in the BENCH_*.json row schema.
  */
 
 #ifndef ROME_SIM_NODE_H
@@ -45,14 +47,18 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <vector>
 
 #include "common/stats.h"
 #include "llm/parallelism.h"
-#include "sim/serving.h"
+#include "sim/engine.h"
+#include "sim/source.h"
 
 namespace rome
 {
+
+class JsonWriter; // common/json_writer.h
 
 // ---------------------------------------------------------------------------
 // LinkModel
@@ -80,7 +86,7 @@ struct LinkConfig
         return latencyTicks == 0 && bytesPerNs <= 0.0 && credits <= 0;
     }
 
-    /** The bypass link used to prove ServingDriver equivalence. */
+    /** The bypass link; one cube behind it is the plain cube harness. */
     static LinkConfig
     idealLink()
     {
@@ -108,7 +114,12 @@ struct LinkConfig
 class LinkModel
 {
   public:
-    explicit LinkModel(const LinkConfig& cfg) : cfg_(cfg) {}
+    /**
+     * @p track_queue_delay keeps the queueDelayHistNs distribution. The
+     * per-channel router replicas only need delivery ticks, and every
+     * channel of a node routes over all cube links, so they skip it.
+     */
+    explicit LinkModel(const LinkConfig& cfg, bool track_queue_delay = true);
 
     /** Inject @p bytes at @p at; returns the delivery tick at the cube. */
     Tick inject(Tick at, std::uint64_t bytes);
@@ -119,11 +130,11 @@ class LinkModel
     /** Restart the link as new (stats cleared). */
     void reset();
 
-    const LinkConfig& config() const { return cfg_; }
     std::uint64_t injectedMessages() const { return injected_; }
     std::uint64_t injectedBytes() const { return bytes_; }
-    /** Distribution of start - inject (queuing + credit stall), ns. */
-    const LatencyHistogram& queueDelayHistNs() const { return queueHist_; }
+    /** Distribution of start - inject (queuing + credit stall), ns;
+     *  needs track_queue_delay. */
+    const LatencyHistogram& queueDelayHistNs() const { return *queueHist_; }
     /** Ticks injections waited on credit exhaustion alone (telemetry:
      *  feeds the node aggregate's StallCause::LinkCredit bucket). */
     std::uint64_t creditStallTicks() const { return creditStall_; }
@@ -136,7 +147,8 @@ class LinkModel
     std::uint64_t injected_ = 0;
     std::uint64_t bytes_ = 0;
     std::uint64_t creditStall_ = 0;
-    LatencyHistogram queueHist_;
+    /** Null when not tracked (a histogram is ~15 KiB). */
+    std::unique_ptr<LatencyHistogram> queueHist_;
 };
 
 // ---------------------------------------------------------------------------
@@ -221,7 +233,9 @@ struct RoutedSlice
 class NodeRouter
 {
   public:
-    explicit NodeRouter(const NodeRouterConfig& cfg);
+    /** @p track_queue_delay: see LinkModel. */
+    explicit NodeRouter(const NodeRouterConfig& cfg,
+                        bool track_queue_delay = true);
 
     /** Route one system request; slices are appended to @p out. */
     void route(const Request& r, std::vector<RoutedSlice>& out);
@@ -235,7 +249,6 @@ class NodeRouter
     {
         return links_[static_cast<std::size_t>(cube)];
     }
-    const NodeRouterConfig& config() const { return cfg_; }
 
   private:
     int stageOf(std::uint64_t addr) const;
@@ -282,7 +295,11 @@ struct NodeConfig
 {
     /** Fresh per-channel controller (every cube's channel type). */
     ControllerFactory makeController;
-    /** Fresh instance of the system-wide request stream (payloads). */
+    /**
+     * Fresh instance of the system-wide request stream. Only payloads
+     * (id, kind, addr, size) are used — arrival ticks are replaced by
+     * the offered-rate arrival process.
+     */
     SourceFactory makeSystemSource;
     int numCubes = 1;
     /** Channels per cube (32 = one HBM cube). */
@@ -305,6 +322,8 @@ struct CubeResult
 {
     /** Cube-aggregate stats (its channels merged in channel order). */
     ControllerStats stats;
+    /** Per-channel snapshots, indexed by channel within the cube. */
+    std::vector<ControllerStats> perChannel;
     /** Completions / node finish span (comparable across cubes). */
     double achievedRps = 0.0;
     /** Slices the router delivered to this cube. */
@@ -315,7 +334,12 @@ struct CubeResult
 /** Outcome of one node-level offered-rate point. */
 struct NodeResult
 {
-    /** Tick-rounded rate actually driven (see ServingResult). */
+    /**
+     * Offered request rate actually driven (requests / second). Arrival
+     * gaps quantize to whole ticks, so this is the tick-rounded rate —
+     * it can differ from the requested rate by up to half a tick per
+     * gap, and it is what achieved throughput is compared against.
+     */
     double offeredRps = 0.0;
     /** Node-wide completions / finish span. */
     double achievedRps = 0.0;
@@ -325,35 +349,137 @@ struct NodeResult
     ControllerStats aggregate;
     /** Indexed by cube. */
     std::vector<CubeResult> perCube;
-    /** Link queuing delay (start - inject) across all links, ns. */
+    /**
+     * Link queuing delay (start - inject) across all links, ns. Empty
+     * when routing is the identity (one cube, ideal link): no link runs.
+     */
     LatencyHistogram linkQueueDelayNs;
 };
 
 /**
+ * A mid-flight snapshot of one offered-rate run: every channel's
+ * controller + device + source-cursor state as an enveloped blob
+ * (saveControllerCheckpoint), plus the arrival parameters and topology
+ * it ran under. Routers and links need no blob: each channel's source
+ * replays its private router over a fresh stream, rebuilding them.
+ */
+struct NodeCheckpoint
+{
+    /** Arrival mean gap in ticks (rebuilds the exact arrival process). */
+    Tick meanGap = 0;
+    ArrivalModel arrivalModel = ArrivalModel::Poisson;
+    std::uint64_t arrivalSeed = 0;
+    int numCubes = 0;
+    int channelsPerCube = 0;
+    /** Simulation tick the snapshot was taken at. */
+    Tick takenAt = 0;
+    /** One enveloped checkpoint blob per channel, cube-major. */
+    std::vector<std::vector<std::uint8_t>> channels;
+};
+
+/**
  * Drives one node configuration at arbitrary offered rates. Stateless
- * between runs, like ServingDriver: every run() builds fresh
- * controllers, routers, and sources.
+ * between runs: every run builds fresh controllers, routers, and
+ * sources. Every channel regenerates the system stream (and its cube's
+ * router) privately, so channels share no mutable state. One cube
+ * behind the ideal link shards the re-timed stream without a router.
  */
 class NodeDriver
 {
   public:
     explicit NodeDriver(NodeConfig cfg);
 
-    /** Serve the full system stream at @p offered_rps requests/s. */
+    /**
+     * Serve the full system stream at @p offered_rps requests/s. Rates
+     * that are not finite or fall below 1 rps are rejected (fatal).
+     */
     NodeResult run(double offered_rps) const;
+
+    /**
+     * Drive a fresh node at @p offered_rps up to tick @p at, then
+     * snapshot every channel. resume() continues the run to completion
+     * with results bit-identical to an uninterrupted run() — provided
+     * @p at lands while every channel still has work in flight (past a
+     * channel's natural finish, the timed window would add refresh
+     * catch-up a straight drain never performs).
+     */
+    NodeCheckpoint runToCheckpoint(double offered_rps, Tick at) const;
+
+    /**
+     * Rebuild the node from @p ck — fresh controllers restored from the
+     * blobs, fresh sources fast-forwarded past each channel's consumed
+     * prefix — and drain it to completion. A snapshot taken under another
+     * arrival seed, arrival model or topology is rejected (fatal).
+     */
+    NodeResult resume(const NodeCheckpoint& ck) const;
 
     const NodeConfig& config() const { return cfg_; }
 
   private:
-    NodeRouterConfig routerConfig() const;
-
     NodeConfig cfg_;
 };
+
+/** One latency–throughput point of an offered-rate sweep. */
+struct RatePoint
+{
+    double offeredRps = 0.0;
+    double achievedRps = 0.0;
+    std::uint64_t completedRequests = 0;
+    /** Aggregate request latency percentiles (ns, exact merge). */
+    double p50Ns = 0.0;
+    double p90Ns = 0.0;
+    double p99Ns = 0.0;
+    double p999Ns = 0.0;
+    double maxNs = 0.0;
+    double meanNs = 0.0;
+    /** Useful bytes / ns over the finish span. */
+    double effectiveBandwidth = 0.0;
+    /** Achieved fell short of offered by more than the tolerance. */
+    bool saturated = false;
+    // ---- reliability counters (zero with fault injection disabled) ----
+    std::uint64_t ceCount = 0;
+    std::uint64_t dueCount = 0;
+    std::uint64_t retryCount = 0;
+    std::uint64_t scrubCount = 0;
+    std::uint64_t sparedRows = 0;
+    /** Requests that completed carrying poisoned (DUE) data. */
+    std::uint64_t poisonedRequests = 0;
+    /** Scheduling steps executed across all channels at this point. */
+    std::uint64_t schedSteps = 0;
+    // ---- telemetry (sim/telemetry.h; populated only when the run's
+    // controllers enabled TelemetryConfig::counters) ---------------------
+    /** Any stall/breakdown accounting present at this point. */
+    bool telemetry = false;
+    /** Total idle ticks by cause (sums to the channels' spans). */
+    StallTicks stallTicks{};
+    /** Per-request latency decomposition (means + tail, ns). */
+    double queueMeanNs = 0.0;
+    double queueP99Ns = 0.0;
+    double serviceMeanNs = 0.0;
+    double serviceP99Ns = 0.0;
+    double retryMeanNs = 0.0;
+    double linkMeanNs = 0.0;
+    /** Merged occupancy/bandwidth/stall-mix time series. */
+    TimeSeries timeSeries;
+
+    /** Exact field-by-field equality, doubles included. */
+    bool operator==(const RatePoint&) const = default;
+};
+
+/**
+ * Assemble one latency–throughput point from an aggregate stats
+ * snapshot: percentiles from the exact merged histogram, reliability
+ * counters and scheduling-step counts. A point saturates when achieved
+ * < offered * (1 - saturation_tolerance).
+ */
+RatePoint makeRatePoint(double offered_rps, double achieved_rps,
+                        const ControllerStats& aggregate,
+                        double saturation_tolerance);
 
 /** One node-level latency–throughput point. */
 struct NodeRatePoint
 {
-    /** Node-aggregate point (same schema as the cube-level sweep). */
+    /** Node-aggregate point. */
     RatePoint node;
     /** Per-cube achieved rps over the node finish span. */
     std::vector<double> perCubeAchievedRps;
@@ -363,7 +489,7 @@ struct NodeRatePoint
     double linkQueueDelayP99Ns = 0.0;
 };
 
-/** A node-level offered-rate sweep plus its saturation knee. */
+/** An offered-rate sweep: the latency–throughput curve plus its knee. */
 struct NodeRateSweep
 {
     std::vector<NodeRatePoint> points;
@@ -379,15 +505,32 @@ struct NodeRateSweep
 };
 
 /**
- * runRateSweep lifted to the node driver (same saturation rule). As with
- * the cube-level sweep, @p workers > 1 shards the independent rate
- * points across threads with a bit-identical merged curve; callers
- * usually drop the driver's own threads to 1 when sharding.
+ * Walk @p offered_rps (ascending rates) through the driver and assemble
+ * the latency–throughput curve (saturation rule of makeRatePoint): below
+ * the knee an open-loop system keeps up and latency percentiles grow
+ * slowly; past it the backlog grows without bound and the achieved rate
+ * pins at capacity.
+ *
+ * @p workers > 1 shards the rate points across that many threads. Every
+ * point is an independent self-contained run, so the merged curve —
+ * points, knee, every histogram-derived percentile — is bit-identical to
+ * the serial walk regardless of worker count. Callers sharding across
+ * points usually set NodeConfig::threads = 1 so the point workers and
+ * the engine's channel threads don't oversubscribe.
  */
 NodeRateSweep runNodeRateSweep(const NodeDriver& driver,
                                const std::vector<double>& offered_rps,
                                double saturation_tolerance = 0.05,
                                int workers = 1);
+
+/**
+ * Emit @p pt's key/value pairs (offeredRps, achievedRps, latencyP50Ns,
+ * latencyP90Ns, latencyP99Ns, latencyP999Ns, ...) into the JSON object
+ * currently open on @p w — the row schema the BENCH_*.json files and
+ * scripts/bench_diff.py agree on. The caller brackets the object and
+ * adds its identity keys (label/system/workload) beside them.
+ */
+void ratePointJson(JsonWriter& w, const RatePoint& pt);
 
 /**
  * Emit @p pt into the JSON object currently open on @p w: the shared

@@ -9,9 +9,10 @@
  * the hybrid router, with faults on/off and epoch memoization on/off, in
  * both drive modes (pre-enqueued requests and streaming bindSource). The
  * streaming variants restore the source cursor through resumeSource on a
- * fresh source instance — the mechanism ServingDriver::resume relies on —
+ * fresh source instance — the mechanism NodeDriver::resume relies on —
  * and the serving test closes the loop: snapshot a mid-flight cube sweep
- * point, resume it, and compare against the straight run.
+ * point, resume it, and compare against the straight run (the routed
+ * multi-cube resume is in tests/test_node.cc).
  */
 
 #include <gtest/gtest.h>
@@ -360,27 +361,30 @@ TEST(Checkpoint, ServingResumeMatchesStraightRun)
         p.writeFraction = 0.25;
         return std::make_unique<RandomSource>(p);
     };
-    const ServingDriver driver(cfg);
+    const ServingDriver cube(cfg);
+    const NodeDriver& driver = cube.node();
     const double rps = 2.0e6;
 
-    const ServingResult straight = driver.run(rps);
+    const NodeResult straight = driver.run(rps);
     ASSERT_GT(straight.finishedAt, 0);
 
     // A third of the way in, every channel still has arrivals ahead of
     // it, so the timed prefix is a pure slice of the straight drain.
-    const CubeCheckpoint ck =
+    const NodeCheckpoint ck =
         driver.runToCheckpoint(rps, straight.finishedAt / 3);
     EXPECT_EQ(ck.channels.size(), 4u);
-    const ServingResult resumed = driver.resume(ck);
+    const NodeResult resumed = driver.resume(ck);
 
     EXPECT_EQ(resumed.finishedAt, straight.finishedAt);
     EXPECT_EQ(resumed.offeredRps, straight.offeredRps);
     EXPECT_EQ(resumed.achievedRps, straight.achievedRps);
     EXPECT_TRUE(resumed.aggregate == straight.aggregate)
         << "resumed cube aggregate diverged from the straight run";
-    ASSERT_EQ(resumed.perChannel.size(), straight.perChannel.size());
-    for (std::size_t ch = 0; ch < straight.perChannel.size(); ++ch) {
-        EXPECT_TRUE(resumed.perChannel[ch] == straight.perChannel[ch])
+    const auto& straight_ch = straight.perCube.at(0).perChannel;
+    const auto& resumed_ch = resumed.perCube.at(0).perChannel;
+    ASSERT_EQ(resumed_ch.size(), straight_ch.size());
+    for (std::size_t ch = 0; ch < straight_ch.size(); ++ch) {
+        EXPECT_TRUE(resumed_ch[ch] == straight_ch[ch])
             << "channel " << ch << " diverged across save/restore";
     }
 }
@@ -403,14 +407,15 @@ TEST(Checkpoint, ServingResumeWithRomeCube)
         p.capacity = hbm4Config().org.channelCapacity();
         return std::make_unique<RandomSource>(p);
     };
-    const ServingDriver driver(cfg);
+    const ServingDriver cube(cfg);
+    const NodeDriver& driver = cube.node();
     const double rps = 2.0e6;
 
-    const ServingResult straight = driver.run(rps);
+    const NodeResult straight = driver.run(rps);
     ASSERT_GT(straight.finishedAt, 0);
-    const CubeCheckpoint ck =
+    const NodeCheckpoint ck =
         driver.runToCheckpoint(rps, straight.finishedAt / 3);
-    const ServingResult resumed = driver.resume(ck);
+    const NodeResult resumed = driver.resume(ck);
 
     EXPECT_EQ(resumed.finishedAt, straight.finishedAt);
     EXPECT_TRUE(resumed.aggregate == straight.aggregate)

@@ -4,17 +4,20 @@
  * determinism, router-policy semantics (round-robin, cache-affinity,
  * load-aware) and TP/PP slice coverage, routed per-cube streams
  * covering the system stream exactly once, exact node-level histogram
- * merging, thread-count bit-invariance of the NodeDriver, bit-identity
- * of the zero-latency single-cube node with the plain ServingDriver,
- * and per-DUE request poisoning surfaced through completions and the
- * serving RatePoint.
+ * merging, thread-count bit-invariance of the NodeDriver, a golden
+ * single-cube ideal-link point, offered-rate validation, routed
+ * checkpoint resume and its mismatch rejection, and per-DUE request
+ * poisoning surfaced through completions and the serving RatePoint.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "common/stats.h"
@@ -320,31 +323,51 @@ smallNodeConfig(const DramConfig& dram, int cubes, int channels,
     return cfg;
 }
 
-TEST(NodeDriver, SingleCubeIdealLinkIsBitIdenticalToServingDriver)
+TEST(NodeDriver, SingleCubeIdealLinkGolden)
 {
+    // Pinned values of this point as routing it through a RoutedSource
+    // produces them: the identity-routing path must reproduce them.
     const DramConfig dram = hbm4Config();
-    const double rps = 2e7;
+    NodeConfig cfg = smallNodeConfig(dram, 1, 4, 1500);
+    cfg.link = LinkConfig::idealLink();
+    const NodeResult node = NodeDriver(cfg).run(2e7);
 
-    NodeConfig ncfg = smallNodeConfig(dram, 1, 4, 1500);
-    ncfg.link = LinkConfig::idealLink();
-    const NodeResult node = NodeDriver(ncfg).run(rps);
-
-    ServingConfig scfg;
-    scfg.makeController = ncfg.makeController;
-    scfg.makeSystemSource = ncfg.makeSystemSource;
-    scfg.numChannels = 4;
-    const ServingResult serving = ServingDriver(scfg).run(rps);
-
-    // Same arrivals, same sharding, same merge order: every compared
-    // field — histogram buckets included — must match bit for bit.
-    EXPECT_TRUE(node.aggregate == serving.aggregate);
-    EXPECT_EQ(node.finishedAt, serving.finishedAt);
-    EXPECT_EQ(node.offeredRps, serving.offeredRps);
-    EXPECT_EQ(node.achievedRps, serving.achievedRps);
+    EXPECT_EQ(node.aggregate.completedRequests, 1500u);
+    EXPECT_EQ(node.finishedAt, 289545);
+    EXPECT_EQ(node.aggregate.schedSteps, 11097u);
+    EXPECT_EQ(node.aggregate.latencyPercentileNs(50.0), 98.5);
+    EXPECT_EQ(node.aggregate.latencyPercentileNs(99.0), 371.5);
+    EXPECT_EQ(node.aggregate.latencyHistNs.maxNs(), 501.5);
     ASSERT_EQ(node.perCube.size(), 1u);
     EXPECT_EQ(node.perCube[0].routedRequests, 1500u);
+    EXPECT_EQ(node.perCube[0].routedBytes, 1500u * 4_KiB);
     // The ideal link never queues.
     EXPECT_EQ(node.linkQueueDelayNs.maxNs(), 0.0);
+
+    // The cube's per-channel snapshots merge to the aggregate.
+    ControllerStats merged;
+    for (const ControllerStats& s : node.perCube[0].perChannel)
+        merged.merge(s);
+    merged.deriveBandwidths();
+    EXPECT_EQ(node.perCube[0].perChannel.size(), 4u);
+    EXPECT_TRUE(merged == node.aggregate);
+}
+
+TEST(NodeDriver, RejectsOfferedRatesOutOfRange)
+{
+    const DramConfig dram = hbm4Config();
+    const NodeDriver node(smallNodeConfig(dram, 2, 1, 10));
+    ServingConfig scfg;
+    scfg.makeController = node.config().makeController;
+    scfg.makeSystemSource = node.config().makeSystemSource;
+    scfg.numChannels = 2;
+    const ServingDriver cube(scfg);
+    for (const double rps :
+         {std::numeric_limits<double>::quiet_NaN(),
+          std::numeric_limits<double>::infinity(), 0.0, -1e6, 1e-12}) {
+        EXPECT_THROW(node.run(rps), std::runtime_error) << rps;
+        EXPECT_THROW(cube.run(rps), std::runtime_error) << rps;
+    }
 }
 
 TEST(NodeDriver, ResultsAreThreadCountInvariant)
@@ -419,6 +442,63 @@ TEST(NodeDriver, NodeRateSweepDetectsKneeAndReportsCoverage)
     }
 }
 
+/** Two routed cubes behind default links, cache-affinity routing. */
+NodeConfig
+twoCubeConfig()
+{
+    NodeConfig cfg = smallNodeConfig(hbm4Config(), 2, 2, 600);
+    cfg.policy = RouterPolicy::CacheAffinity;
+    cfg.affinityBytes = 64_KiB;
+    cfg.threads = 2;
+    return cfg;
+}
+
+TEST(NodeDriver, CheckpointResumeMatchesStraightRun)
+{
+    const NodeDriver driver(twoCubeConfig());
+    const double rps = 4.0e6;
+    const NodeResult straight = driver.run(rps);
+    const NodeResult resumed =
+        driver.resume(driver.runToCheckpoint(rps, straight.finishedAt / 3));
+
+    EXPECT_EQ(resumed.finishedAt, straight.finishedAt);
+    EXPECT_TRUE(resumed.aggregate == straight.aggregate);
+    EXPECT_TRUE(resumed.linkQueueDelayNs == straight.linkQueueDelayNs);
+    ASSERT_EQ(resumed.perCube.size(), 2u);
+    for (std::size_t c = 0; c < straight.perCube.size(); ++c) {
+        const CubeResult& a = straight.perCube[c];
+        const CubeResult& b = resumed.perCube[c];
+        // Both cubes carry traffic, so both cubes' routers really ran.
+        EXPECT_GT(a.routedRequests, 0u) << c;
+        EXPECT_TRUE(b.stats == a.stats && b.perChannel == a.perChannel)
+            << "cube " << c << " diverged across save/restore";
+        EXPECT_EQ(b.routedBytes, a.routedBytes) << c;
+    }
+}
+
+TEST(NodeDriver, ResumeRejectsMismatchedCheckpoint)
+{
+    const NodeDriver driver(twoCubeConfig());
+    const NodeCheckpoint ck = driver.runToCheckpoint(4.0e6, 80000);
+    // Each mismatch would otherwise replay a different stream or
+    // misassign the channel blobs.
+    const std::function<void(NodeConfig&)> mismatches[] = {
+        [](NodeConfig& c) { ++c.arrivalSeed; },
+        [](NodeConfig& c) { c.arrivalModel = ArrivalModel::Fixed; },
+        [](NodeConfig& c) { c.numCubes = 1, c.channelsPerCube = 4; },
+        [](NodeConfig& c) { c.channelsPerCube = 3; },
+    };
+    for (const auto& mismatch : mismatches) {
+        NodeConfig cfg = twoCubeConfig();
+        mismatch(cfg);
+        EXPECT_THROW(NodeDriver(cfg).resume(ck), std::runtime_error);
+    }
+    NodeCheckpoint truncated = ck;
+    truncated.channels.pop_back();
+    EXPECT_THROW(driver.resume(truncated), std::runtime_error);
+    EXPECT_EQ(driver.resume(ck).aggregate.completedRequests, 600u);
+}
+
 // ---------------------------------------------------------------------------
 // Per-DUE request poisoning (serving-layer satellite)
 // ---------------------------------------------------------------------------
@@ -470,14 +550,14 @@ TEST(Poisoning, DuePoisonsCompletionsAndFlowsIntoRatePoint)
         return std::make_unique<RandomSource>(p);
     };
     scfg.numChannels = 2;
-    const RateSweep sweep =
-        runRateSweep(ServingDriver(scfg), {1e7});
+    const NodeRateSweep sweep =
+        runNodeRateSweep(ServingDriver(scfg).node(), {1e7});
     ASSERT_EQ(sweep.points.size(), 1u);
-    EXPECT_EQ(sweep.points[0].completedRequests, 400u);
+    EXPECT_EQ(sweep.points[0].node.completedRequests, 400u);
     // Requests landing in the clean spare-row region at the top of each
     // bank are not poisoned; everything else is.
-    EXPECT_GE(sweep.points[0].poisonedRequests, 380u);
-    EXPECT_LE(sweep.points[0].poisonedRequests, 400u);
+    EXPECT_GE(sweep.points[0].node.poisonedRequests, 380u);
+    EXPECT_LE(sweep.points[0].node.poisonedRequests, 400u);
 }
 
 } // namespace

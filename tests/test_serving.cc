@@ -333,23 +333,26 @@ TEST(ServingDriver, RateSweepFlagsSaturationKneeOnOverload)
     std::vector<double> rates;
     for (const double l : loads)
         rates.push_back(l * base_rps);
-    const RateSweep sweep = runRateSweep(ServingDriver(cfg), rates);
+    const NodeRateSweep sweep =
+        runNodeRateSweep(ServingDriver(cfg).node(), rates);
 
     ASSERT_EQ(sweep.points.size(), loads.size());
     // Below capacity the open loop keeps up...
-    EXPECT_FALSE(sweep.points[0].saturated);
-    EXPECT_FALSE(sweep.points[1].saturated);
+    EXPECT_FALSE(sweep.points[0].node.saturated);
+    EXPECT_FALSE(sweep.points[1].node.saturated);
     // ...and a 3x overload cannot: achieved pins at capacity.
-    EXPECT_TRUE(sweep.points[2].saturated);
-    EXPECT_TRUE(sweep.points[3].saturated);
+    EXPECT_TRUE(sweep.points[2].node.saturated);
+    EXPECT_TRUE(sweep.points[3].node.saturated);
     EXPECT_EQ(sweep.kneeIndex, 2);
     ASSERT_NE(sweep.knee(), nullptr);
-    EXPECT_LT(sweep.points[2].achievedRps, rates[2]);
+    EXPECT_LT(sweep.points[2].node.achievedRps, rates[2]);
     // Tail latency is monotone along the grid and explodes past the
     // knee (the backlog grows with the whole stream length).
     for (std::size_t i = 1; i < sweep.points.size(); ++i)
-        EXPECT_GE(sweep.points[i].p99Ns, sweep.points[i - 1].p99Ns);
-    EXPECT_GT(sweep.points[2].p99Ns, 10.0 * sweep.points[1].p99Ns);
+        EXPECT_GE(sweep.points[i].node.p99Ns,
+                  sweep.points[i - 1].node.p99Ns);
+    EXPECT_GT(sweep.points[2].node.p99Ns,
+              10.0 * sweep.points[1].node.p99Ns);
 }
 
 } // namespace
