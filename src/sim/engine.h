@@ -719,8 +719,9 @@ class ChannelSimEngine
 
     /**
      * Bind a pull source to channel @p idx (the engine keeps it alive);
-     * drainAll / runAllUntil then stream it. Typically a ShardSource of
-     * one system-wide stream per channel.
+     * drainAll / runAllUntil then stream it. The node driver binds each
+     * channel a PackedReplaySource of its share of the system stream,
+     * split once per run (splitNodeStream in sim/node.h).
      */
     void bindSource(int idx, std::unique_ptr<RequestSource> src);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "common/json_writer.h"
@@ -15,13 +16,6 @@ namespace rome
 // LinkModel
 // ---------------------------------------------------------------------------
 
-LinkModel::LinkModel(const LinkConfig& cfg, bool track_queue_delay)
-    : cfg_(cfg)
-{
-    if (track_queue_delay)
-        queueHist_ = std::make_unique<LatencyHistogram>();
-}
-
 Tick
 LinkModel::inject(Tick at, std::uint64_t bytes)
 {
@@ -29,8 +23,7 @@ LinkModel::inject(Tick at, std::uint64_t bytes)
     bytes_ += bytes;
     if (cfg_.ideal()) {
         // Bypass: delivery == injection, bit for bit.
-        if (queueHist_)
-            queueHist_->sample(0.0);
+        queueHist_.sample(0.0);
         return at;
     }
     Tick start = std::max(at, busyUntil_);
@@ -60,8 +53,7 @@ LinkModel::inject(Tick at, std::uint64_t bytes)
     busyUntil_ = start + ser;
     if (cfg_.credits > 0)
         creditFree_.push_back(deliver + cfg_.latencyTicks);
-    if (queueHist_)
-        queueHist_->sample(nsFromTicks(start - at));
+    queueHist_.sample(nsFromTicks(start - at));
     return deliver;
 }
 
@@ -84,8 +76,7 @@ LinkModel::reset()
     injected_ = 0;
     bytes_ = 0;
     creditStall_ = 0;
-    if (queueHist_)
-        *queueHist_ = LatencyHistogram{};
+    queueHist_ = LatencyHistogram{};
 }
 
 // ---------------------------------------------------------------------------
@@ -136,8 +127,7 @@ mix64(std::uint64_t x)
 
 } // namespace
 
-NodeRouter::NodeRouter(const NodeRouterConfig& cfg, bool track_queue_delay)
-    : cfg_(cfg)
+NodeRouter::NodeRouter(const NodeRouterConfig& cfg) : cfg_(cfg)
 {
     if (cfg_.numCubes < 1)
         fatal("router needs at least one cube");
@@ -158,18 +148,20 @@ NodeRouter::NodeRouter(const NodeRouterConfig& cfg, bool track_queue_delay)
         fatal("router needs a nonzero address span");
     links_.reserve(static_cast<std::size_t>(cfg_.numCubes));
     for (int c = 0; c < cfg_.numCubes; ++c)
-        links_.emplace_back(cfg_.link, track_queue_delay);
+        links_.emplace_back(cfg_.link);
     rrCursor_.assign(static_cast<std::size_t>(pl.ppStages), 0);
 }
 
 int
 NodeRouter::stageOf(std::uint64_t addr) const
 {
+    // floor(wrapped * ppStages / span) in 128 bits: the 64-bit product
+    // wraps once the span reaches 2^64 / ppStages.
     const std::uint64_t wrapped = addr % cfg_.spanBytes;
-    const std::uint64_t stage =
-        wrapped * static_cast<std::uint64_t>(cfg_.placement.ppStages) /
-        cfg_.spanBytes;
-    return static_cast<int>(stage);
+    const unsigned __int128 scaled =
+        static_cast<unsigned __int128>(wrapped) *
+        static_cast<std::uint64_t>(cfg_.placement.ppStages);
+    return static_cast<int>(scaled / cfg_.spanBytes);
 }
 
 int
@@ -254,45 +246,6 @@ NodeRouter::reset()
 }
 
 // ---------------------------------------------------------------------------
-// RoutedSource
-// ---------------------------------------------------------------------------
-
-RoutedSource::RoutedSource(std::unique_ptr<RequestSource> system,
-                           const NodeRouterConfig& cfg, int cube)
-    : system_(std::move(system)), router_(cfg, false), cube_(cube)
-{
-    if (cube_ < 0 || cube_ >= cfg.numCubes)
-        fatal("routed source cube %d out of range", cube_);
-}
-
-bool
-RoutedSource::produce(Request& out)
-{
-    // Each system request lands at most one slice on a given cube (TP
-    // slices go to distinct cubes of one replica), so no slice ever
-    // needs buffering across produce() calls.
-    Request r;
-    while (system_->next(r)) {
-        slices_.clear();
-        router_.route(r, slices_);
-        for (const RoutedSlice& s : slices_) {
-            if (s.cube == cube_) {
-                out = s.req;
-                return true;
-            }
-        }
-    }
-    return false;
-}
-
-void
-RoutedSource::rewind()
-{
-    system_->reset();
-    router_.reset();
-}
-
-// ---------------------------------------------------------------------------
 // NodeDriver
 // ---------------------------------------------------------------------------
 
@@ -336,8 +289,8 @@ routerConfigOf(const NodeConfig& cfg)
 
 /**
  * One cube behind the ideal link: the router would hand every request
- * to that cube unchanged (same arrival, zero link delay), so channels
- * shard the re-timed stream directly instead of each routing all of it.
+ * to that cube unchanged (same arrival, zero link delay), so the split
+ * shards the re-timed stream directly and no link statistics exist.
  */
 bool
 routesIdentically(const NodeConfig& cfg)
@@ -345,104 +298,98 @@ routesIdentically(const NodeConfig& cfg)
     return cfg.numCubes == 1 && cfg.link.ideal();
 }
 
-/** Requests and bytes one channel's source delivered. */
-struct RouteTally
+} // namespace
+
+NodeStreams
+splitNodeStream(RequestSource& system, const NodeConfig& cfg)
 {
-    std::uint64_t requests = 0;
-    std::uint64_t bytes = 0;
-};
+    if (cfg.numCubes < 1 || cfg.channelsPerCube < 1)
+        fatal("node stream split needs at least one cube and channel");
+    const auto cubes = static_cast<std::size_t>(cfg.numCubes);
+    const auto per_cube = static_cast<std::uint64_t>(cfg.channelsPerCube);
+    NodeStreams out;
+    out.channels.resize(cubes * per_cube);
+    out.routedRequests.assign(cubes, 0);
+    out.routedBytes.assign(cubes, 0);
+    const auto deal = [&](int cube, const Request& r) {
+        const auto c = static_cast<std::size_t>(cube);
+        // ShardSource's key: the address stripe, else the slice's index
+        // within its cube's stream.
+        const std::uint64_t key = cfg.stripeBytes != 0
+                                      ? r.addr / cfg.stripeBytes
+                                      : out.routedRequests[c];
+        out.channels[c * per_cube + key % per_cube].push_back(r);
+        ++out.routedRequests[c];
+        out.routedBytes[c] += r.size;
+    };
+
+    std::optional<NodeRouter> router;
+    if (!routesIdentically(cfg))
+        router.emplace(routerConfigOf(cfg));
+    std::vector<RoutedSlice> slices;
+    Request r;
+    while (system.next(r)) {
+        if (!router) {
+            deal(0, r);
+            continue;
+        }
+        slices.clear();
+        router->route(r, slices);
+        for (const RoutedSlice& s : slices)
+            deal(s.cube, s.req);
+    }
+    if (router) {
+        for (int cube = 0; cube < cfg.numCubes; ++cube) {
+            const LinkModel& link = router->link(cube);
+            out.linkQueueDelayNs.merge(link.queueDelayHistNs());
+            out.creditStallTicks += link.creditStallTicks();
+        }
+    }
+    for (PackedRequests& ch : out.channels)
+        ch.shrink_to_fit();
+    return out;
+}
+
+namespace
+{
 
 /**
- * Identity routing's stand-in for the router pass: passes a shard through
- * unchanged and tallies what it delivers, so the routed counts need no
- * extra decode of the system stream. A resume's fast-forward pulls
- * through it too, so the tally always covers the whole stream.
+ * Split a fresh system stream re-timed at @p mean_gap into per-channel
+ * streams, then add one controller per channel to @p engine, cube-major,
+ * each replaying its packed stream: bound fresh, or with @p ck restored
+ * from its blob and fast-forwarded past the consumed prefix. Returns the
+ * split's routing statistics; its streams now belong to the engine.
  */
-class TallySource final : public RequestSource
-{
-  public:
-    TallySource(std::unique_ptr<RequestSource> inner, RouteTally& tally)
-        : inner_(std::move(inner)), tally_(tally)
-    {
-    }
-
-  protected:
-    bool
-    produce(Request& out) override
-    {
-        if (!inner_->next(out))
-            return false;
-        ++tally_.requests;
-        tally_.bytes += out.size;
-        return true;
-    }
-
-    void
-    rewind() override
-    {
-        inner_->reset();
-        tally_ = RouteTally{};
-    }
-
-  private:
-    std::unique_ptr<RequestSource> inner_;
-    RouteTally& tally_;
-};
-
-/**
- * Add one controller per channel to @p engine, cube-major, each fed its
- * shard of the cube's stream re-timed at @p mean_gap: bound fresh, or
- * with @p ck restored from its blob and fast-forwarded past the consumed
- * prefix. Identity routing gives every channel a slot in @p tallies.
- */
-void
+NodeStreams
 buildChannels(const NodeConfig& cfg, Tick mean_gap, const NodeCheckpoint* ck,
-              ChannelSimEngine& engine, std::vector<RouteTally>& tallies)
+              ChannelSimEngine& engine)
 {
     // The arrival process re-times the *system* stream before routing
     // and sharding: one node-wide open-loop load with global arrivals.
-    const SourceFactory timed = [&cfg, mean_gap] {
-        return timedStream(cfg, mean_gap);
-    };
-    const bool identity = routesIdentically(cfg);
-    if (identity)
-        tallies.resize(static_cast<std::size_t>(cfg.channelsPerCube));
-    const NodeRouterConfig rc = routerConfigOf(cfg);
-    for (int cube = 0; cube < cfg.numCubes; ++cube) {
-        const SourceFactory cube_stream =
-            identity ? timed : SourceFactory([&timed, rc, cube] {
-                return std::make_unique<RoutedSource>(timed(), rc, cube);
-            });
-        auto shards = shardAcrossChannels(cube_stream, cfg.channelsPerCube,
-                                          cfg.stripeBytes);
-        for (int ch = 0; ch < cfg.channelsPerCube; ++ch) {
-            auto mc = cfg.makeController();
-            if (!mc)
-                fatal("node controller factory produced no controller");
-            mc->setRetainCompletions(false);
-            const int idx = engine.addChannel(std::move(mc));
-            std::unique_ptr<RequestSource> src =
-                std::move(shards[static_cast<std::size_t>(ch)]);
-            if (identity) {
-                src = std::make_unique<TallySource>(
-                    std::move(src), tallies[static_cast<std::size_t>(ch)]);
-            }
-            if (ck == nullptr) {
-                engine.bindSource(idx, std::move(src));
-                continue;
-            }
-            restoreControllerCheckpoint(
-                engine.channel(idx),
-                ck->channels[static_cast<std::size_t>(idx)]);
-            engine.resumeSource(idx, std::move(src));
+    NodeStreams streams = splitNodeStream(*timedStream(cfg, mean_gap), cfg);
+    for (std::size_t ch = 0; ch < streams.channels.size(); ++ch) {
+        auto mc = cfg.makeController();
+        if (!mc)
+            fatal("node controller factory produced no controller");
+        mc->setRetainCompletions(false);
+        const int idx = engine.addChannel(std::move(mc));
+        auto src = std::make_unique<PackedReplaySource>(
+            std::move(streams.channels[ch]));
+        if (ck == nullptr) {
+            engine.bindSource(idx, std::move(src));
+            continue;
         }
+        restoreControllerCheckpoint(engine.channel(idx), ck->channels[ch]);
+        engine.resumeSource(idx, std::move(src));
     }
+    streams.channels.clear();
+    return streams;
 }
 
 /** Drain @p engine and assemble per-channel, per-cube and node results. */
 NodeResult
 finishRun(const NodeConfig& cfg, Tick mean_gap, ChannelSimEngine& engine,
-          const std::vector<RouteTally>& tallies)
+          NodeStreams routing)
 {
     NodeResult res;
     // The gap quantizes to whole ticks; report the rate actually driven
@@ -459,7 +406,8 @@ finishRun(const NodeConfig& cfg, Tick mean_gap, ChannelSimEngine& engine,
     // ascending cube/channel order.
     res.perCube.resize(static_cast<std::size_t>(cfg.numCubes));
     for (int cube = 0; cube < cfg.numCubes; ++cube) {
-        CubeResult& cr = res.perCube[static_cast<std::size_t>(cube)];
+        const auto c = static_cast<std::size_t>(cube);
+        CubeResult& cr = res.perCube[c];
         cr.perChannel.reserve(static_cast<std::size_t>(cfg.channelsPerCube));
         for (int ch = 0; ch < cfg.channelsPerCube; ++ch) {
             cr.perChannel.push_back(
@@ -469,51 +417,25 @@ finishRun(const NodeConfig& cfg, Tick mean_gap, ChannelSimEngine& engine,
         }
         cr.stats.deriveBandwidths();
         cr.achievedRps = rps(cr.stats.completedRequests);
+        cr.routedRequests = routing.routedRequests[c];
+        cr.routedBytes = routing.routedBytes[c];
     }
     res.aggregate.deriveBandwidths();
     res.achievedRps = rps(res.aggregate.completedRequests);
+    res.linkQueueDelayNs = std::move(routing.linkQueueDelayNs);
 
-    for (const RouteTally& t : tallies) {
-        res.perCube.front().routedRequests += t.requests;
-        res.perCube.front().routedBytes += t.bytes;
-    }
-    if (routesIdentically(cfg))
-        return res;
-
-    // Routing statistics: one dedicated router pass over a fresh timed
-    // stream (cheap next to the channel simulations). It reproduces the
-    // in-simulation routers' decisions exactly — routing is a pure
-    // function of the request sequence.
-    NodeRouter router(routerConfigOf(cfg));
-    const auto timed = timedStream(cfg, mean_gap);
-    std::vector<RoutedSlice> slices;
-    Request r;
-    while (timed->next(r)) {
-        slices.clear();
-        router.route(r, slices);
-        for (const RoutedSlice& s : slices) {
-            CubeResult& cr = res.perCube[static_cast<std::size_t>(s.cube)];
-            ++cr.routedRequests;
-            cr.routedBytes += s.req.size;
-        }
-    }
-    for (int cube = 0; cube < cfg.numCubes; ++cube)
-        res.linkQueueDelayNs.merge(router.link(cube).queueDelayHistNs());
     // Telemetry: credit-exhaustion waits happen at the links, outside any
-    // controller, so the dedicated router pass is the one place that sees
-    // them. Fold them into the node aggregate's LinkCredit stall bucket —
-    // but only when the controllers themselves ran with telemetry, so a
-    // telemetry-off node result stays free of telemetry state.
+    // controller. Fold them into the node aggregate's LinkCredit stall
+    // bucket — but only when the controllers themselves ran with
+    // telemetry, so a telemetry-off node result stays free of telemetry
+    // state.
     std::uint64_t stall_total = 0;
     for (const std::uint64_t t : res.aggregate.stallTicks)
         stall_total += t;
     if (stall_total > 0 || res.aggregate.queueNsHist.count() > 0 ||
         res.aggregate.timeSeries.enabled()) {
-        std::uint64_t credit = 0;
-        for (int cube = 0; cube < cfg.numCubes; ++cube)
-            credit += router.link(cube).creditStallTicks();
         res.aggregate.stallTicks[static_cast<std::size_t>(
-            StallCause::LinkCredit)] += credit;
+            StallCause::LinkCredit)] += routing.creditStallTicks;
     }
     return res;
 }
@@ -539,10 +461,9 @@ NodeResult
 NodeDriver::run(double offered_rps) const
 {
     const Tick gap = meanGapFor(offered_rps);
-    std::vector<RouteTally> tallies;
     ChannelSimEngine engine(cfg_.threads);
-    buildChannels(cfg_, gap, nullptr, engine, tallies);
-    return finishRun(cfg_, gap, engine, tallies);
+    NodeStreams routing = buildChannels(cfg_, gap, nullptr, engine);
+    return finishRun(cfg_, gap, engine, std::move(routing));
 }
 
 NodeCheckpoint
@@ -558,9 +479,8 @@ NodeDriver::runToCheckpoint(double offered_rps, Tick at) const
     ck.numCubes = cfg_.numCubes;
     ck.channelsPerCube = cfg_.channelsPerCube;
     ck.takenAt = at;
-    std::vector<RouteTally> tallies;
     ChannelSimEngine engine(cfg_.threads);
-    buildChannels(cfg_, ck.meanGap, nullptr, engine, tallies);
+    buildChannels(cfg_, ck.meanGap, nullptr, engine);
     engine.runAllUntil(at);
     for (int idx = 0; idx < engine.numChannels(); ++idx)
         ck.channels.push_back(saveControllerCheckpoint(engine.channel(idx)));
@@ -587,13 +507,12 @@ NodeDriver::resume(const NodeCheckpoint& ck) const
         fatal("node checkpoint holds %zu channel blobs, expected %d",
               ck.channels.size(), channels);
     }
-    // Every channel's source regenerates the stream (and its router)
-    // independently, so each restored channel fast-forwards its own
-    // shard past the consumed prefix — no cross-channel coordination.
-    std::vector<RouteTally> tallies;
+    // The re-split streams are those of the checkpointed run, so each
+    // restored channel fast-forwards its own packed stream past the
+    // consumed prefix — no cross-channel coordination.
     ChannelSimEngine engine(cfg_.threads);
-    buildChannels(cfg_, ck.meanGap, &ck, engine, tallies);
-    return finishRun(cfg_, ck.meanGap, engine, tallies);
+    NodeStreams routing = buildChannels(cfg_, ck.meanGap, &ck, engine);
+    return finishRun(cfg_, ck.meanGap, engine, std::move(routing));
 }
 
 RatePoint

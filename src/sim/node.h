@@ -23,20 +23,20 @@
  *  - NodeRouter: pluggable replica-selection policy — round-robin,
  *    cache-affinity (address-hash so KV-cache reuse lands on the owning
  *    cubes), load-aware (fewest outstanding link credits). Routing is a
- *    pure function of the request sequence, so every consumer can run a
- *    private router replica over a fresh system stream and reach
- *    bit-identical decisions — the same shared-nothing construction
- *    that makes shardAcrossChannels thread-count-invariant.
- *  - RoutedSource: one cube's slice stream — re-times a fresh system
- *    stream through a private router and yields only the slices
- *    delivered to that cube, arrival = link delivery tick.
+ *    pure function of the request sequence, so replaying a stream
+ *    through a fresh router reproduces every decision bit for bit.
+ *  - splitNodeStream: the one pass per run that routes the re-timed
+ *    system stream through a single router and deals every slice to its
+ *    channel's packed stream (PackedRequests), collecting the routing
+ *    statistics on the way. The system stream is decoded once per run,
+ *    not once per channel.
  *  - NodeDriver: re-times one system-wide stream with an open-loop
- *    ArrivalProcess at the offered rate, routes it to cubes, shards each
- *    cube's stream across its channels and drives them all on one
- *    ChannelSimEngine pool. Aggregate tail latency is exact (bucket-wise
- *    histogram merge in fixed cube/channel order), results are
- *    independent of the engine thread count, and runToCheckpoint/resume
- *    finish a snapshotted run bit-identically.
+ *    ArrivalProcess at the offered rate, splits it into per-channel
+ *    streams and drives every channel on one ChannelSimEngine pool, each
+ *    replaying its own packed stream. Aggregate tail latency is exact
+ *    (bucket-wise histogram merge in fixed cube/channel order), results
+ *    are independent of the engine thread count, and
+ *    runToCheckpoint/resume finish a snapshotted run bit-identically.
  *  - runNodeRateSweep: one latency–throughput point per offered rate,
  *    plus the saturation knee; ratePointJson/nodeRatePointJson write a
  *    point in the BENCH_*.json row schema.
@@ -47,7 +47,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <vector>
 
 #include "common/stats.h"
@@ -114,12 +113,7 @@ struct LinkConfig
 class LinkModel
 {
   public:
-    /**
-     * @p track_queue_delay keeps the queueDelayHistNs distribution. The
-     * per-channel router replicas only need delivery ticks, and every
-     * channel of a node routes over all cube links, so they skip it.
-     */
-    explicit LinkModel(const LinkConfig& cfg, bool track_queue_delay = true);
+    explicit LinkModel(const LinkConfig& cfg) : cfg_(cfg) {}
 
     /** Inject @p bytes at @p at; returns the delivery tick at the cube. */
     Tick inject(Tick at, std::uint64_t bytes);
@@ -132,9 +126,8 @@ class LinkModel
 
     std::uint64_t injectedMessages() const { return injected_; }
     std::uint64_t injectedBytes() const { return bytes_; }
-    /** Distribution of start - inject (queuing + credit stall), ns;
-     *  needs track_queue_delay. */
-    const LatencyHistogram& queueDelayHistNs() const { return *queueHist_; }
+    /** Distribution of start - inject (queuing + credit stall), ns. */
+    const LatencyHistogram& queueDelayHistNs() const { return queueHist_; }
     /** Ticks injections waited on credit exhaustion alone (telemetry:
      *  feeds the node aggregate's StallCause::LinkCredit bucket). */
     std::uint64_t creditStallTicks() const { return creditStall_; }
@@ -147,8 +140,7 @@ class LinkModel
     std::uint64_t injected_ = 0;
     std::uint64_t bytes_ = 0;
     std::uint64_t creditStall_ = 0;
-    /** Null when not tracked (a histogram is ~15 KiB). */
-    std::unique_ptr<LatencyHistogram> queueHist_;
+    LatencyHistogram queueHist_;
 };
 
 // ---------------------------------------------------------------------------
@@ -196,7 +188,7 @@ struct NodePlacement
                                          int num_cubes);
 };
 
-/** Router + topology knobs shared by every router replica. */
+/** Router policy and node topology. */
 struct NodeRouterConfig
 {
     int numCubes = 1;
@@ -233,9 +225,7 @@ struct RoutedSlice
 class NodeRouter
 {
   public:
-    /** @p track_queue_delay: see LinkModel. */
-    explicit NodeRouter(const NodeRouterConfig& cfg,
-                        bool track_queue_delay = true);
+    explicit NodeRouter(const NodeRouterConfig& cfg);
 
     /** Route one system request; slices are appended to @p out. */
     void route(const Request& r, std::vector<RoutedSlice>& out);
@@ -260,30 +250,6 @@ class NodeRouter
     std::vector<LinkModel> links_;
     /** Per-stage round-robin cursor. */
     std::vector<int> rrCursor_;
-};
-
-/**
- * One cube's routed stream: drives a private router replica over a
- * fresh (already re-timed) system stream and yields only the slices
- * delivered to @p cube. Owns everything it touches — no shared state —
- * so binding one RoutedSource per engine channel keeps the node drive
- * embarrassingly parallel and thread-count-invariant.
- */
-class RoutedSource final : public RequestSource
-{
-  public:
-    RoutedSource(std::unique_ptr<RequestSource> system,
-                 const NodeRouterConfig& cfg, int cube);
-
-  protected:
-    bool produce(Request& out) override;
-    void rewind() override;
-
-  private:
-    std::unique_ptr<RequestSource> system_;
-    NodeRouter router_;
-    int cube_;
-    std::vector<RoutedSlice> slices_;
 };
 
 // ---------------------------------------------------------------------------
@@ -316,6 +282,31 @@ struct NodeConfig
     std::uint64_t affinityBytes = 1ull << 20;
     std::uint64_t spanBytes = 1ull << 30;
 };
+
+/** Every channel's stream of one run, and what routing them observed. */
+struct NodeStreams
+{
+    /** One packed stream per channel, cube-major. */
+    std::vector<PackedRequests> channels;
+    /** Slices and bytes routed to each cube. */
+    std::vector<std::uint64_t> routedRequests;
+    std::vector<std::uint64_t> routedBytes;
+    /** Link queuing delay across all links, ns (empty without a router). */
+    LatencyHistogram linkQueueDelayNs;
+    /** Ticks injections waited on link credits, summed over links. */
+    std::uint64_t creditStallTicks = 0;
+};
+
+/**
+ * Split @p system — already re-timed — into @p cfg's per-channel streams
+ * in one pass. A single NodeRouter routes each request to its cubes
+ * (skipped when routing is the identity: one cube behind the ideal
+ * link); each slice goes to the channel its address stripe selects when
+ * cfg.stripeBytes is set, otherwise to channel (slice index within its
+ * cube's stream) mod channelsPerCube — ShardSource's assignment. Each
+ * channel's slices keep their stream order.
+ */
+NodeStreams splitNodeStream(RequestSource& system, const NodeConfig& cfg);
 
 /** One cube's share of a node run. */
 struct CubeResult
@@ -360,8 +351,8 @@ struct NodeResult
  * A mid-flight snapshot of one offered-rate run: every channel's
  * controller + device + source-cursor state as an enveloped blob
  * (saveControllerCheckpoint), plus the arrival parameters and topology
- * it ran under. Routers and links need no blob: each channel's source
- * replays its private router over a fresh stream, rebuilding them.
+ * it ran under. Routers and links need no blob: resume splits a fresh
+ * stream again, which replays every routing decision.
  */
 struct NodeCheckpoint
 {
@@ -379,10 +370,10 @@ struct NodeCheckpoint
 
 /**
  * Drives one node configuration at arbitrary offered rates. Stateless
- * between runs: every run builds fresh controllers, routers, and
- * sources. Every channel regenerates the system stream (and its cube's
- * router) privately, so channels share no mutable state. One cube
- * behind the ideal link shards the re-timed stream without a router.
+ * between runs: every run builds fresh controllers and splits a fresh
+ * re-timed system stream once (splitNodeStream) into packed per-channel
+ * streams. Each channel then replays its own stream, so channels share
+ * no mutable state while the engine drives them.
  */
 class NodeDriver
 {
@@ -407,9 +398,10 @@ class NodeDriver
 
     /**
      * Rebuild the node from @p ck — fresh controllers restored from the
-     * blobs, fresh sources fast-forwarded past each channel's consumed
-     * prefix — and drain it to completion. A snapshot taken under another
-     * arrival seed, arrival model or topology is rejected (fatal).
+     * blobs, each channel's re-split packed stream fast-forwarded past
+     * its consumed prefix — and drain it to completion. A snapshot taken
+     * under another arrival seed, arrival model or topology is rejected
+     * (fatal).
      */
     NodeResult resume(const NodeCheckpoint& ck) const;
 

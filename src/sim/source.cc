@@ -18,6 +18,86 @@ collectRequests(RequestSource& src)
 }
 
 // ---------------------------------------------------------------------------
+// PackedRequests
+// ---------------------------------------------------------------------------
+
+namespace
+{
+
+void
+putVarint(std::vector<std::uint8_t>& buf, std::uint64_t v)
+{
+    while (v >= 0x80) {
+        buf.push_back(static_cast<std::uint8_t>(v | 0x80));
+        v >>= 7;
+    }
+    buf.push_back(static_cast<std::uint8_t>(v));
+}
+
+std::uint64_t
+getVarint(const std::vector<std::uint8_t>& buf, std::size_t& pos)
+{
+    std::uint64_t v = 0;
+    for (int shift = 0;; shift += 7) {
+        const std::uint8_t b = buf[pos++];
+        v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
+        if ((b & 0x80) == 0)
+            return v;
+    }
+}
+
+/** Interleave signs so small negative deltas stay short. */
+std::uint64_t
+zigzag(std::uint64_t delta)
+{
+    return (delta << 1) ^ (0 - (delta >> 63));
+}
+
+std::uint64_t
+unzigzag(std::uint64_t z)
+{
+    return (z >> 1) ^ (0 - (z & 1));
+}
+
+} // namespace
+
+void
+PackedRequests::push_back(const Request& r)
+{
+    if (r.size >> 63 != 0)
+        fatal("packed request size %llu does not fit 63 bits",
+              static_cast<unsigned long long>(r.size));
+    const auto arrival = static_cast<std::uint64_t>(r.arrival);
+    putVarint(buf_, zigzag(r.id - tail_.id));
+    putVarint(buf_, zigzag(r.addr - tail_.addr));
+    putVarint(buf_, zigzag(arrival - tail_.arrival));
+    putVarint(buf_, r.size << 1 | (r.kind == ReqKind::Write ? 1 : 0));
+    putVarint(buf_, zigzag(static_cast<std::uint64_t>(r.linkDelay)));
+    tail_.id = r.id;
+    tail_.addr = r.addr;
+    tail_.arrival = arrival;
+    ++count_;
+}
+
+bool
+PackedRequests::read(Cursor& at, Request& out) const
+{
+    if (at.pos >= buf_.size())
+        return false;
+    at.id += unzigzag(getVarint(buf_, at.pos));
+    at.addr += unzigzag(getVarint(buf_, at.pos));
+    at.arrival += unzigzag(getVarint(buf_, at.pos));
+    const std::uint64_t size_kind = getVarint(buf_, at.pos);
+    out.id = at.id;
+    out.addr = at.addr;
+    out.arrival = static_cast<Tick>(at.arrival);
+    out.size = size_kind >> 1;
+    out.kind = (size_kind & 1) != 0 ? ReqKind::Write : ReqKind::Read;
+    out.linkDelay = static_cast<Tick>(unzigzag(getVarint(buf_, at.pos)));
+    return true;
+}
+
+// ---------------------------------------------------------------------------
 // StreamSource
 // ---------------------------------------------------------------------------
 

@@ -24,6 +24,8 @@
  * Concrete sources:
  *  - ReplaySource    — adapter over an in-memory request list (the old
  *                      eager path, bit-compatible).
+ *  - PackedReplaySource — replays a PackedRequests list (varint-delta
+ *                      encoded; the node driver's per-channel streams).
  *  - StreamSource / RandomSource / SparseMixSource / ProfileSource —
  *                      streaming ports of the sim/workloads.h generators;
  *                      the vector builders are now thin collectors over
@@ -177,6 +179,66 @@ class ReplaySource final : public RequestSource
   private:
     SharedRequests reqs_;
     std::size_t pos_ = 0;
+};
+
+/**
+ * Append-only request list in a packed encoding, for holding a whole
+ * run's per-channel streams in memory. Each record is a run of LEB128
+ * varints: the zigzag deltas of id, addr and arrival from the previous
+ * record, then size << 1 | kind and zigzag(linkDelay). Deltas wrap
+ * modulo 2^64, so any values round-trip, decreasing ones included;
+ * a 48-byte Request typically packs into 10-16 bytes.
+ */
+class PackedRequests
+{
+  public:
+    /** Decoding position: a byte offset and the previous record's fields
+     *  (the base of the next record's deltas). */
+    struct Cursor
+    {
+        std::size_t pos = 0;
+        std::uint64_t id = 0;
+        std::uint64_t addr = 0;
+        std::uint64_t arrival = 0;
+    };
+
+    /** Append @p r. A size of 2^63 bytes or more is rejected (fatal):
+     *  the size shares its varint with the request kind. */
+    void push_back(const Request& r);
+
+    /** Decode the record at @p at into @p out and advance @p at past it;
+     *  false at the end of the list. */
+    bool read(Cursor& at, Request& out) const;
+
+    /** Records appended. */
+    std::uint64_t size() const { return count_; }
+    /** Bytes the encoding occupies. */
+    std::size_t bytes() const { return buf_.size(); }
+    /** Release the encoding buffer's growth slack. */
+    void shrink_to_fit() { buf_.shrink_to_fit(); }
+
+  private:
+    std::vector<std::uint8_t> buf_;
+    std::uint64_t count_ = 0;
+    /** The last appended record's fields (pos unused). */
+    Cursor tail_;
+};
+
+/** Replays a PackedRequests list, decoding one record per request. */
+class PackedReplaySource final : public RequestSource
+{
+  public:
+    explicit PackedReplaySource(PackedRequests reqs) : reqs_(std::move(reqs))
+    {
+    }
+
+  protected:
+    bool produce(Request& out) override { return reqs_.read(at_, out); }
+    void rewind() override { at_ = PackedRequests::Cursor{}; }
+
+  private:
+    PackedRequests reqs_;
+    PackedRequests::Cursor at_;
 };
 
 /** Streaming generator of StreamPattern (see sim/workloads.h). */

@@ -2,12 +2,14 @@
  * @file
  * Node-model tests: link serialization/credit/queuing semantics and
  * determinism, router-policy semantics (round-robin, cache-affinity,
- * load-aware) and TP/PP slice coverage, routed per-cube streams
+ * load-aware) and TP/PP slice coverage, exact pipeline-stage selection
+ * at huge address spans, the one-pass split's per-channel streams
  * covering the system stream exactly once, exact node-level histogram
- * merging, thread-count bit-invariance of the NodeDriver, a golden
- * single-cube ideal-link point, offered-rate validation, routed
- * checkpoint resume and its mismatch rejection, and per-DUE request
- * poisoning surfaced through completions and the serving RatePoint.
+ * merging, thread-count bit-invariance of the NodeDriver, golden
+ * single-cube ideal-link and load-aware two-cube points, offered-rate
+ * validation, routed checkpoint resume and its mismatch rejection, and
+ * per-DUE request poisoning surfaced through completions and the
+ * serving RatePoint.
  */
 
 #include <gtest/gtest.h>
@@ -272,7 +274,29 @@ TEST(NodeRouter, TpPpSlicingIsDisjointContiguousAndStageLocal)
     EXPECT_EQ(out[0].req.size, 1u);
 }
 
-TEST(RoutedSource, CubeStreamsCoverSystemStreamExactlyOnce)
+TEST(NodeRouter, StageSelectionIsExactAtHugeSpans)
+{
+    // Eight single-cube stages over a 2^62-byte span: each stage's first
+    // and last byte land on that stage. A 64-bit addr * ppStages product
+    // would wrap here and send the top address to stage 3.
+    NodeRouterConfig rc = routerConfig(8, RouterPolicy::RoundRobin, 1, 8);
+    rc.spanBytes = 1ull << 62;
+    NodeRouter router(rc);
+    const std::uint64_t stage_bytes = rc.spanBytes / 8;
+    std::vector<RoutedSlice> out;
+    for (int stage = 0; stage < 8; ++stage) {
+        const std::uint64_t first = static_cast<std::uint64_t>(stage) *
+                                    stage_bytes;
+        for (const std::uint64_t addr : {first, first + stage_bytes - 1}) {
+            out.clear();
+            router.route(readReq(1, addr, 1), out);
+            ASSERT_EQ(out.size(), 1u);
+            EXPECT_EQ(out[0].cube, stage) << addr;
+        }
+    }
+}
+
+TEST(SplitNodeStream, ChannelStreamsCoverSystemStreamExactlyOnce)
 {
     RandomPattern p;
     p.requestBytes = 4_KiB;
@@ -281,22 +305,53 @@ TEST(RoutedSource, CubeStreamsCoverSystemStreamExactlyOnce)
     RandomSource whole(p);
     const std::vector<Request> all = collectRequests(whole);
 
-    const NodeRouterConfig rc = routerConfig(3, RouterPolicy::RoundRobin);
-    std::vector<int> owner(all.size(), -1);
-    for (int cube = 0; cube < 3; ++cube) {
-        RoutedSource src(std::make_unique<RandomSource>(p), rc, cube);
-        Request r;
-        while (src.next(r)) {
-            const std::size_t idx = static_cast<std::size_t>(r.id - 1);
-            ASSERT_LT(idx, all.size());
-            EXPECT_EQ(owner[idx], -1); // disjoint across cubes
-            owner[idx] = cube;
-            EXPECT_EQ(r.addr, all[idx].addr);
-            EXPECT_EQ(r.size, all[idx].size);
+    // Three round-robin cubes behind default links, channels dealt by
+    // slice index; and one ideal-link cube striped by address.
+    NodeConfig routed;
+    routed.numCubes = 3;
+    routed.channelsPerCube = 4;
+    routed.policy = RouterPolicy::RoundRobin;
+    NodeConfig striped;
+    striped.channelsPerCube = 4;
+    striped.stripeBytes = 64_KiB;
+    striped.link = LinkConfig::idealLink();
+    for (const NodeConfig& cfg : {routed, striped}) {
+        RandomSource system(p);
+        NodeStreams split = splitNodeStream(system, cfg);
+        const auto per_cube = static_cast<std::size_t>(cfg.channelsPerCube);
+        ASSERT_EQ(split.channels.size(),
+                  static_cast<std::size_t>(cfg.numCubes) * per_cube);
+        std::vector<int> owner(all.size(), -1);
+        for (std::size_t ch = 0; ch < split.channels.size(); ++ch) {
+            PackedReplaySource src(std::move(split.channels[ch]));
+            Request r;
+            std::uint64_t last_id = 0;
+            while (src.next(r)) {
+                const std::size_t idx = static_cast<std::size_t>(r.id - 1);
+                ASSERT_LT(idx, all.size());
+                EXPECT_EQ(owner[idx], -1); // disjoint across channels
+                owner[idx] = static_cast<int>(ch);
+                EXPECT_EQ(r.addr, all[idx].addr);
+                EXPECT_EQ(r.size, all[idx].size);
+                EXPECT_GT(r.id, last_id); // stream order kept
+                last_id = r.id;
+            }
+        }
+        std::uint64_t routed_total = 0;
+        for (const std::uint64_t n : split.routedRequests)
+            routed_total += n;
+        EXPECT_EQ(routed_total, all.size());
+        for (std::size_t i = 0; i < all.size(); ++i) {
+            ASSERT_NE(owner[i], -1) << i; // complete
+            // Round robin sends request i to cube i % 3 as that cube's
+            // slice i / 3; a stripe selects the channel by itself.
+            const std::size_t expect =
+                cfg.stripeBytes != 0
+                    ? all[i].addr / cfg.stripeBytes % per_cube
+                    : i % 3 * per_cube + i / 3 % per_cube;
+            EXPECT_EQ(static_cast<std::size_t>(owner[i]), expect) << i;
         }
     }
-    for (const int c : owner)
-        EXPECT_NE(c, -1); // complete
 }
 
 // ---------------------------------------------------------------------------
@@ -325,8 +380,8 @@ smallNodeConfig(const DramConfig& dram, int cubes, int channels,
 
 TEST(NodeDriver, SingleCubeIdealLinkGolden)
 {
-    // Pinned values of this point as routing it through a RoutedSource
-    // produces them: the identity-routing path must reproduce them.
+    // Pinned values of this point as routing it through a one-cube router
+    // produced them: the identity-routing path must reproduce them.
     const DramConfig dram = hbm4Config();
     NodeConfig cfg = smallNodeConfig(dram, 1, 4, 1500);
     cfg.link = LinkConfig::idealLink();
@@ -351,6 +406,31 @@ TEST(NodeDriver, SingleCubeIdealLinkGolden)
     merged.deriveBandwidths();
     EXPECT_EQ(node.perCube[0].perChannel.size(), 4u);
     EXPECT_TRUE(merged == node.aggregate);
+}
+
+TEST(NodeDriver, LoadAwareNodeGolden)
+{
+    // Pinned values of this point as per-channel router replicas produced
+    // them. Load-aware routing is the one policy that reads arrival ticks
+    // (credits outstanding at injection), so the re-timing, the router's
+    // link state and the channel deal all show here.
+    NodeConfig cfg = smallNodeConfig(hbm4Config(), 2, 2, 1500);
+    cfg.policy = RouterPolicy::LoadAware;
+    const NodeResult node = NodeDriver(cfg).run(2e7);
+
+    EXPECT_EQ(node.aggregate.completedRequests, 1500u);
+    EXPECT_EQ(node.finishedAt, 290578);
+    EXPECT_EQ(node.aggregate.schedSteps, 11103u);
+    EXPECT_EQ(node.aggregate.latencyPercentileNs(50.0), 98.5);
+    EXPECT_EQ(node.aggregate.latencyPercentileNs(99.0), 363.5);
+    EXPECT_EQ(node.aggregate.latencyHistNs.maxNs(), 587.75);
+    ASSERT_EQ(node.perCube.size(), 2u);
+    EXPECT_EQ(node.perCube[0].routedRequests, 787u);
+    EXPECT_EQ(node.perCube[1].routedRequests, 713u);
+    EXPECT_EQ(node.perCube[0].routedBytes, 787u * 4_KiB);
+    EXPECT_EQ(node.perCube[1].routedBytes, 713u * 4_KiB);
+    EXPECT_EQ(node.linkQueueDelayNs.count(), 1500u);
+    EXPECT_EQ(node.linkQueueDelayNs.percentileNs(99.0), 1.0);
 }
 
 TEST(NodeDriver, RejectsOfferedRatesOutOfRange)

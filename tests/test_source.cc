@@ -5,14 +5,17 @@
  * reset(), ReplaySource streaming reproduces the pre-redesign eager
  * enqueue path on both controller stacks, traces round-trip through both
  * encodings to identical ControllerStats, arrival processes and
- * combinators behave as specified, and a long streamed workload runs in
- * O(queue depth) host memory.
+ * combinators behave as specified, packed request lists round-trip
+ * extreme values and fast-forward to the right record, and a long
+ * streamed workload runs in O(queue depth) host memory.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "common/types.h"
@@ -35,7 +38,8 @@ bool
 sameRequest(const Request& a, const Request& b)
 {
     return a.id == b.id && a.kind == b.kind && a.addr == b.addr &&
-           a.size == b.size && a.arrival == b.arrival;
+           a.size == b.size && a.arrival == b.arrival &&
+           a.linkDelay == b.linkDelay;
 }
 
 bool
@@ -434,6 +438,67 @@ TEST(Source, ShardsPartitionTheStream)
                         2, shards, 4_KiB);
     for (const auto& r : collectRequests(striped))
         EXPECT_EQ(r.addr / 4_KiB % shards, 2u);
+}
+
+TEST(Source, PackedRequestsRoundTripExtremeValues)
+{
+    const std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+    const auto req = [](std::uint64_t id, ReqKind kind, std::uint64_t addr,
+                        std::uint64_t size, Tick arrival, Tick link_delay) {
+        Request r;
+        r.id = id;
+        r.kind = kind;
+        r.addr = addr;
+        r.size = size;
+        r.arrival = arrival;
+        r.linkDelay = link_delay;
+        return r;
+    };
+    // Deltas that jump to the u64 extremes and back, ids and addrs that
+    // decrease, arrival gaps beyond 2^32 ticks, sizes from 1 byte to the
+    // largest that shares a varint with the kind, and link delays.
+    const std::vector<Request> reqs = {
+        req(0, ReqKind::Read, 0, 1, 0, 0),
+        req(kMax, ReqKind::Write, kMax, 1ull << 40, 0, 0),
+        req(0, ReqKind::Read, 0, 1, Tick{1} << 33, 800),
+        req(kMax, ReqKind::Read, 4_KiB, 1ull << 40, Tick{3} << 40, 0),
+        req(17, ReqKind::Write, 3 * 4_KiB, 2_KiB, (Tick{3} << 40) + 1, 1),
+        req(5, ReqKind::Write, 4_KiB, (1ull << 63) - 1, Tick{1} << 62,
+            Tick{1} << 40),
+        req(kMax - 1, ReqKind::Read, kMax - 4_KiB, 1,
+            std::numeric_limits<Tick>::max(), 0),
+    };
+    PackedRequests packed;
+    for (const Request& r : reqs)
+        packed.push_back(r);
+    EXPECT_EQ(packed.size(), reqs.size());
+    EXPECT_LT(packed.bytes(), reqs.size() * sizeof(Request));
+
+    PackedReplaySource src(std::move(packed));
+    EXPECT_TRUE(sameRequests(collectRequests(src), reqs));
+    src.reset();
+    EXPECT_TRUE(sameRequests(collectRequests(src), reqs));
+
+    // resumeSource fast-forwards a fresh stream by pulling the consumed
+    // prefix: after k pulls the next record must be record k.
+    for (std::size_t k = 0; k <= reqs.size(); ++k) {
+        src.reset();
+        Request r;
+        for (std::size_t i = 0; i < k; ++i)
+            ASSERT_TRUE(src.next(r)) << k;
+        if (k == reqs.size()) {
+            EXPECT_FALSE(src.next(r));
+            continue;
+        }
+        ASSERT_TRUE(src.next(r)) << k;
+        EXPECT_TRUE(sameRequest(r, reqs[k])) << k;
+    }
+
+    // The size shares its varint with the kind bit.
+    PackedRequests too_big;
+    EXPECT_THROW(too_big.push_back(req(1, ReqKind::Read, 0, 1ull << 63, 0, 0)),
+                 std::runtime_error);
+    EXPECT_EQ(too_big.size(), 0u);
 }
 
 TEST(Source, SkipTrimsTheHeadAndComposesWithTake)
