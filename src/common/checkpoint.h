@@ -41,7 +41,10 @@ namespace rome
 // v2: telemetry state (stall tables, breakdown histograms, time-series
 // ring, per-request/op issue+retry/link fields) joined the stream.
 // v3: the controllers' epoch-memo counters and seq->node ring left it.
-inline constexpr std::uint32_t kCheckpointVersion = 3;
+// v4: the conventional controller's derived scheduling index (hit
+// summaries, bank worklists, per-step scratch) left it; restore validates
+// the op lists and rebuilds the index from them.
+inline constexpr std::uint32_t kCheckpointVersion = 4;
 
 /** Envelope magic ("RMCK" little-endian). */
 inline constexpr std::uint32_t kCheckpointMagic = 0x4b434d52u;

@@ -139,18 +139,24 @@ flatBankIndex(const Organization& org, const DramAddress& a)
     return idx;
 }
 
+/** True when every field of @p a lies inside the organization. */
+inline bool
+addressInRange(const Organization& org, const DramAddress& a)
+{
+    return a.pc >= 0 && a.pc < org.pcsPerChannel && a.sid >= 0 &&
+           a.sid < org.sidsPerChannel && a.bg >= 0 &&
+           a.bg < org.bankGroupsPerSid && a.bank >= 0 &&
+           a.bank < org.banksPerGroup && a.row >= 0 &&
+           a.row < org.rowsPerBank && a.col >= 0 &&
+           a.col < org.columnsPerRow();
+}
+
 /** Validate an address against the organization (panics when out of range). */
 inline void
 checkAddress(const Organization& org, const DramAddress& a)
 {
-    if (a.pc < 0 || a.pc >= org.pcsPerChannel ||
-        a.sid < 0 || a.sid >= org.sidsPerChannel ||
-        a.bg < 0 || a.bg >= org.bankGroupsPerSid ||
-        a.bank < 0 || a.bank >= org.banksPerGroup ||
-        a.row < 0 || a.row >= org.rowsPerBank ||
-        a.col < 0 || a.col >= org.columnsPerRow()) {
+    if (!addressInRange(org, a))
         panic("address out of range: %s", a.str().c_str());
-    }
 }
 
 } // namespace rome

@@ -92,11 +92,26 @@ ConventionalMc::ConventionalMc(const DramConfig& cfg, AddressMapping mapping,
                                                   cfg_.writeQueueDepth);
         pool_.reserve(cap);
         freeNodes_.reserve(cap);
-        activeBanks_.reserve(static_cast<std::size_t>(nbanks));
+        // Each bank lists at most one RD and one WR representative.
+        casLists_.resize(static_cast<std::size_t>(cfg.org.pcsPerChannel));
+        for (auto& l : casLists_)
+            l.reserve(static_cast<std::size_t>(
+                2 * nbanks / cfg.org.pcsPerChannel));
+        rowBanks_.reserve(static_cast<std::size_t>(nbanks));
         openBanks_.reserve(static_cast<std::size_t>(nbanks));
         unitForcedBank_.assign(refreshUnits_.size(), -1);
+        refreshCands_.reserve(refreshUnits_.size());
     }
+    updateRefreshDue();
     initTelemetry(cfg_.telemetry, cfg.org.banksPerChannel());
+}
+
+void
+ConventionalMc::updateRefreshDue()
+{
+    refreshDue_ = kTickMax;
+    for (const RefreshUnit& u : refreshUnits_)
+        refreshDue_ = std::min(refreshDue_, u.rot.due);
 }
 
 void
@@ -447,7 +462,10 @@ ConventionalMc::insertOpIndexed(Op op)
     if (l.tail == -1) {
         l.head = l.tail = node;
     } else {
-        pool_[static_cast<std::size_t>(l.tail)].next = node;
+        OpNode& t = pool_[static_cast<std::size_t>(l.tail)];
+        if (op.arrival < t.op.arrival)
+            l.ordered = false; // an ECC retry re-enters behind younger ops
+        t.next = node;
         n.prev = l.tail;
         l.tail = node;
     }
@@ -456,23 +474,20 @@ ConventionalMc::insertOpIndexed(Op op)
         ++writeCount_;
     else
         ++readCount_;
-    if (e.activePos == -1) {
-        e.activePos = static_cast<int>(activeBanks_.size());
-        activeBanks_.push_back(n.bank);
-    }
 
     const BankRecord& rec = dev_.bankRecord(n.bank);
     if (rec.open() && rec.openRow == op.addr.row) {
         ++l.hitCount;
-        if (l.hitRep == kRepNone ||
-            (l.hitRep >= 0 &&
-             op.arrival <
-                 pool_[static_cast<std::size_t>(l.hitRep)].op.arrival)) {
+        if (l.hitRep == -1 ||
+            op.arrival <
+                pool_[static_cast<std::size_t>(l.hitRep)].op.arrival) {
             l.hitRep = node; // new seq is larger, so ties keep the old rep
         }
     }
     if (op.arrival < l.minArrivalLb)
         l.minArrivalLb = op.arrival;
+    syncCasEntry(l, n.bank, is_write);
+    syncRowWork(n.bank);
 }
 
 void
@@ -501,27 +516,38 @@ ConventionalMc::removeOpIndexed(int node)
     if (rec.open() && rec.openRow == n.op.addr.row)
         --l.hitCount;
     if (l.count == 0) {
-        l.hitRep = kRepNone;
+        l.hitRep = -1;
         l.minArrivalLb = kTickMax;
-    } else if (l.hitRep == node) {
-        l.hitRep = l.hitCount == 0 ? kRepNone : kRepUnknown;
-    }
-
-    if (e.read.count == 0 && e.write.count == 0) {
-        const int last = activeBanks_.back();
-        activeBanks_[static_cast<std::size_t>(e.activePos)] = last;
-        bankIx_[static_cast<std::size_t>(last)].activePos = e.activePos;
-        activeBanks_.pop_back();
-        e.activePos = -1;
+        l.ordered = true;
+    } else {
+        if (l.ordered)
+            l.minArrivalLb = pool_[static_cast<std::size_t>(l.head)].op.arrival;
+        if (l.hitRep == node) {
+            if (l.hitCount == 0) {
+                l.hitRep = -1;
+            } else if (l.ordered) {
+                // The rep was the first hit in list order: its successor
+                // is the next hit after it.
+                int i = n.next;
+                while (pool_[static_cast<std::size_t>(i)].op.addr.row !=
+                       rec.openRow)
+                    i = pool_[static_cast<std::size_t>(i)].next;
+                l.hitRep = i;
+            } else {
+                rescanList(l, rec.openRow);
+            }
+        }
     }
     freeNodes_.push_back(node);
+    syncCasEntry(l, n.bank, is_write);
+    syncRowWork(n.bank);
 }
 
 void
 ConventionalMc::rescanList(BankList& l, int open_row)
 {
     l.hitCount = 0;
-    l.hitRep = kRepNone;
+    l.hitRep = -1;
     Tick min_arr = kTickMax;
     for (int i = l.head; i != -1;
          i = pool_[static_cast<std::size_t>(i)].next) {
@@ -529,7 +555,7 @@ ConventionalMc::rescanList(BankList& l, int open_row)
         min_arr = std::min(min_arr, n.op.arrival);
         if (open_row >= 0 && n.op.addr.row == open_row) {
             ++l.hitCount;
-            if (l.hitRep == kRepNone ||
+            if (l.hitRep == -1 ||
                 n.op.arrival <
                     pool_[static_cast<std::size_t>(l.hitRep)].op.arrival) {
                 l.hitRep = i; // walk is in seq order: ties keep the first
@@ -547,15 +573,66 @@ ConventionalMc::reindexBankRow(int bank)
     const int open_row = rec.open() ? rec.openRow : -1;
     rescanList(e.read, open_row);
     rescanList(e.write, open_row);
+    syncCasEntry(e.read, bank, false);
+    syncCasEntry(e.write, bank, true);
+    syncRowWork(bank);
 }
 
-int
-ConventionalMc::resolveHitRep(BankList& l, int open_row)
+void
+ConventionalMc::syncCasEntry(BankList& l, int bank, bool is_write)
 {
-    if (l.hitRep != kRepUnknown)
-        return l.hitRep;
-    rescanList(l, open_row);
-    return l.hitRep;
+    // A listed entry always names a live op (every removal syncs before
+    // its node can be reused), so an unchanged node id is an unchanged rep.
+    const int rep = l.hitRep;
+    if (l.listed ? rep == l.entry.node : rep == -1)
+        return;
+    auto& list = casLists_[static_cast<std::size_t>(
+        bankIx_[static_cast<std::size_t>(bank)].addr.pc)];
+    if (rep == -1) {
+        list.erase(std::lower_bound(list.begin(), list.end(), l.entry));
+        l.listed = false;
+        return;
+    }
+    const OpNode& n = pool_[static_cast<std::size_t>(rep)];
+    const CasEntry next{n.op.arrival, n.seq, rep, bank, is_write};
+    if (!l.listed) {
+        list.insert(std::upper_bound(list.begin(), list.end(), next), next);
+        l.entry = next;
+        l.listed = true;
+        return;
+    }
+    // A new rep shifts the entry in place to its new key's slot.
+    auto i = static_cast<std::size_t>(
+        std::lower_bound(list.begin(), list.end(), l.entry) - list.begin());
+    if (l.entry < next) {
+        for (; i + 1 < list.size() && list[i + 1] < next; ++i)
+            list[i] = list[i + 1];
+    } else {
+        for (; i > 0 && next < list[i - 1]; --i)
+            list[i] = list[i - 1];
+    }
+    list[i] = next;
+    l.entry = next;
+}
+
+void
+ConventionalMc::syncRowWork(int bank)
+{
+    BankEntry& e = bankIx_[static_cast<std::size_t>(bank)];
+    // A closed bank has no hits, so this is "has work" when closed and
+    // "has a conflicting op" when open.
+    const bool row_work =
+        e.read.count > e.read.hitCount || e.write.count > e.write.hitCount;
+    if (row_work && e.rowPos == -1) {
+        e.rowPos = static_cast<int>(rowBanks_.size());
+        rowBanks_.push_back(bank);
+    } else if (!row_work && e.rowPos != -1) {
+        const int last = rowBanks_.back();
+        rowBanks_[static_cast<std::size_t>(e.rowPos)] = last;
+        bankIx_[static_cast<std::size_t>(last)].rowPos = e.rowPos;
+        rowBanks_.pop_back();
+        e.rowPos = -1;
+    }
 }
 
 int
@@ -631,35 +708,42 @@ ConventionalMc::stepOnceIndexed(Tick until)
     pumpArrivals();
     updateWriteDrain();
 
-    ++stepStamp_;
     Candidate best;
     bool have_best = false;
     // Probe pruning: a candidate whose cheap lower bound (floor) cannot
     // strictly beat the running best — and whose tie-break key loses on an
-    // exact tie — is discarded without the exact earliestIssue probe.
-    const auto consider = [&](Candidate& c) {
-        if (have_best) {
-            if (c.floor > best.earliest)
-                return;
-            if (c.floor == best.earliest && candRankLess(best, c))
-                return;
-        }
+    // exact tie — is discarded without the exact earliestIssue probe. The
+    // winner is the unique argmin of (earliest, candRankLess), so neither
+    // pruning nor the visiting order below changes it.
+    const auto pruned = [&](const Candidate& c) {
+        return have_best &&
+               (c.floor > best.earliest ||
+                (c.floor == best.earliest && candRankLess(best, c)));
+    };
+    const auto probe = [&](Candidate& c) {
         c.earliest = dev_.earliestIssue(c.cmd, now_);
-        if (c.earliest == kTickMax)
-            return;
-        if (!have_best || candBeats(c, best)) {
+        if (c.earliest != kTickMax && (!have_best || candBeats(c, best))) {
             best = c;
             have_best = true;
         }
     };
+    const auto consider = [&](Candidate& c) {
+        if (!pruned(c))
+            probe(c);
+    };
 
-    // --- refresh candidates + the per-step forced-block table -----------
-    if (cfg_.refreshEnabled) {
+    // --- refresh: the per-step forced-block table and candidates -------
+    // A unit owes a refresh once now >= due and is forced once it owes
+    // kRefreshForceAt, i.e. now >= due + (kRefreshForceAt - 1) * interval.
+    // The candidates are offered last, once the op candidates have set a
+    // running best that usually prunes them.
+    bool any_forced = false;
+    refreshCands_.clear();
+    if (cfg_.refreshEnabled && now_ >= refreshDue_) {
         for (std::size_t i = 0; i < refreshUnits_.size(); ++i) {
             const RefreshUnit& u = refreshUnits_[i];
             unitForcedBank_[i] = -1;
-            const int pending = pendingRefreshCount(u);
-            if (pending == 0)
+            if (now_ < u.rot.due)
                 continue;
             DramAddress a;
             a.pc = u.pc;
@@ -668,9 +752,11 @@ ConventionalMc::stepOnceIndexed(Tick until)
             a.bank = u.rot.cursor % dramCfg_.org.banksPerGroup;
             const int bank = flatBankIndex(dramCfg_.org, a);
             const BankEntry& e = bankIx_[static_cast<std::size_t>(bank)];
-            const bool forced = pending >= kRefreshForceAt;
+            const bool forced =
+                now_ - u.rot.due >= (kRefreshForceAt - 1) * u.rot.interval;
             if (forced) {
                 unitForcedBank_[i] = bank;
+                any_forced = true;
             } else if (e.read.count + e.write.count > 0) {
                 continue; // postpone while the target bank has queued work
             }
@@ -689,28 +775,67 @@ ConventionalMc::stepOnceIndexed(Tick until)
                 c.cmd = Command{CmdKind::RefPb, a};
                 c.floor = dev_.refPbFloor(a, now_);
             }
-            consider(c);
+            refreshCands_.push_back(c);
+        }
+    }
+    const auto held = [&](const DramAddress& bank_addr, int bank) {
+        return any_forced &&
+               unitForcedBank_[static_cast<std::size_t>(
+                   bank_addr.pc * dramCfg_.org.sidsPerChannel +
+                   bank_addr.sid)] == bank;
+    };
+
+    // --- CAS candidates: each PC's hit representatives in rank order ----
+    // All of a PC's column commands share its floor, so the first entry
+    // whose exact probe lands on the floor beats every later one, and
+    // the first entry pruned on (floor, rank) means all later ones are.
+    const bool draining = drainingWrites_;
+    const Tick thr = cfg_.agePriorityThreshold;
+    for (std::size_t pc = 0; pc < casLists_.size(); ++pc) {
+        const auto& list = casLists_[pc];
+        if (list.empty())
+            continue;
+        const Tick floor = dev_.casFloor(static_cast<int>(pc), now_);
+        for (const CasEntry& ce : list) {
+            if (ce.isWrite && !draining)
+                continue;
+            Candidate c;
+            c.priority = now_ - ce.arrival > thr ? kPrioForced : kPrioCasHit;
+            c.age = ce.arrival;
+            c.rankCat = ce.isWrite ? kRankWriteOp : kRankReadOp;
+            c.rankIdx = ce.seq;
+            c.floor = floor;
+            if (pruned(c))
+                break;
+            const BankEntry& e = bankIx_[static_cast<std::size_t>(ce.bank)];
+            if (held(e.addr, ce.bank))
+                continue; // bank held for a forced refresh
+            c.cmd = Command{ce.isWrite ? CmdKind::Wr : CmdKind::Rd,
+                            pool_[static_cast<std::size_t>(ce.node)].op.addr};
+            c.opIndex = ce.node;
+            c.isWrite = ce.isWrite;
+            probe(c);
+            if (c.earliest == floor)
+                break;
         }
     }
 
-    // --- op candidates: one walk over the banks that have work ----------
-    const bool draining = drainingWrites_;
-    const Tick thr = cfg_.agePriorityThreshold;
-    for (const int b : activeBanks_) {
-        BankEntry& e = bankIx_[static_cast<std::size_t>(b)];
+    // --- row commands: ACT for closed banks, conflict PRE for open ones -
+    for (const int b : rowBanks_) {
+        const BankEntry& e = bankIx_[static_cast<std::size_t>(b)];
         const bool any_read = e.read.count > 0;
         const bool any_write = draining && e.write.count > 0;
         if (!any_read && !any_write)
             continue;
-        if (cfg_.refreshEnabled &&
-            unitForcedBank_[static_cast<std::size_t>(
-                b / dramCfg_.org.banksPerSid())] == b) {
+        if (held(e.addr, b))
             continue; // bank held for a forced refresh
-        }
         const BankRecord& rec = dev_.bankRecord(b);
         if (!rec.open()) {
             // One structural ACT candidate: the first queued op (in
             // read-then-write admission order) supplies row and age.
+            const Tick floor = dev_.actFloor(e.addr.pc, e.addr.sid, now_);
+            if (have_best && floor > best.earliest)
+                continue;
             const int node = any_read ? e.read.head : e.write.head;
             const OpNode& n = pool_[static_cast<std::size_t>(node)];
             Candidate c;
@@ -720,80 +845,56 @@ ConventionalMc::stepOnceIndexed(Tick until)
             c.age = n.op.arrival;
             c.rankCat = any_read ? kRankReadOp : kRankWriteOp;
             c.rankIdx = n.seq;
-            c.floor = dev_.actFloor(n.op.addr.pc, n.op.addr.sid, now_);
+            c.floor = floor;
             consider(c);
             continue;
-        }
-
-        const bool has_hit =
-            e.read.hitCount > 0 || (draining && e.write.hitCount > 0);
-        if (any_read && e.read.hitCount > 0) {
-            const int rep = resolveHitRep(e.read, rec.openRow);
-            const OpNode& n = pool_[static_cast<std::size_t>(rep)];
-            Candidate c;
-            c.cmd = Command{CmdKind::Rd, n.op.addr};
-            c.priority =
-                now_ - n.op.arrival > thr ? kPrioForced : kPrioCasHit;
-            c.age = n.op.arrival;
-            c.opIndex = rep;
-            c.isWrite = false;
-            c.rankCat = kRankReadOp;
-            c.rankIdx = n.seq;
-            c.floor = dev_.casFloor(n.op.addr.pc, now_);
-            consider(c);
-        }
-        if (any_write && e.write.hitCount > 0) {
-            const int rep = resolveHitRep(e.write, rec.openRow);
-            const OpNode& n = pool_[static_cast<std::size_t>(rep)];
-            Candidate c;
-            c.cmd = Command{CmdKind::Wr, n.op.addr};
-            c.priority =
-                now_ - n.op.arrival > thr ? kPrioForced : kPrioCasHit;
-            c.age = n.op.arrival;
-            c.opIndex = rep;
-            c.isWrite = true;
-            c.rankCat = kRankWriteOp;
-            c.rankIdx = n.seq;
-            c.floor = dev_.casFloor(n.op.addr.pc, now_);
-            consider(c);
         }
 
         // Conflict precharge: only when no queued op still hits the open
         // row, unless a conflicting op is aged (QoS).
         const bool conflicts =
-            e.read.count - e.read.hitCount > 0 ||
-            (any_write && e.write.count - e.write.hitCount > 0);
-        if (conflicts) {
-            int rep = -1;
-            bool rep_write = false;
-            if (!has_hit) {
-                rep = any_read ? e.read.head : e.write.head;
-                rep_write = !any_read;
-            } else {
-                rep = agedConflictRep(e, any_write, rec.openRow, rep_write);
-            }
-            if (rep != -1) {
-                const OpNode& n = pool_[static_cast<std::size_t>(rep)];
-                DramAddress a = n.op.addr;
-                a.row = rec.openRow;
-                Candidate c;
-                c.cmd = Command{CmdKind::Pre, a};
-                c.priority =
-                    now_ - n.op.arrival > thr ? kPrioForced : kPrioPre;
-                c.age = n.op.arrival;
-                c.rankCat = rep_write ? kRankWriteOp : kRankReadOp;
-                c.rankIdx = n.seq;
-                c.floor = dev_.preFloor(a, now_);
-                e.preStamp = stepStamp_;
-                consider(c);
-            }
+            e.read.count > e.read.hitCount ||
+            (any_write && e.write.count > e.write.hitCount);
+        if (!conflicts)
+            continue;
+        const Tick floor = dev_.preFloor(e.addr, now_);
+        if (have_best && floor > best.earliest)
+            continue;
+        const bool has_hit =
+            e.read.hitCount > 0 || (draining && e.write.hitCount > 0);
+        int rep = -1;
+        bool rep_write = false;
+        if (!has_hit) {
+            rep = any_read ? e.read.head : e.write.head;
+            rep_write = !any_read;
+        } else {
+            rep = agedConflictRep(e, any_write, rec.openRow, rep_write);
+        }
+        if (rep != -1) {
+            const OpNode& n = pool_[static_cast<std::size_t>(rep)];
+            DramAddress a = n.op.addr;
+            a.row = rec.openRow;
+            Candidate c;
+            c.cmd = Command{CmdKind::Pre, a};
+            c.priority =
+                now_ - n.op.arrival > thr ? kPrioForced : kPrioPre;
+            c.age = n.op.arrival;
+            c.rankCat = rep_write ? kRankWriteOp : kRankReadOp;
+            c.rankIdx = n.seq;
+            c.floor = floor;
+            consider(c);
         }
     }
 
+    for (Candidate& c : refreshCands_)
+        consider(c);
+
     // --- close/adaptive policies: precharge idle open rows --------------
+    // A bank that also has a conflict PRE offers the same command at the
+    // same tick with a more urgent priority, so its idle PRE never wins.
     if (cfg_.pagePolicy != PagePolicy::Open) {
         for (const int b : openBanks_) {
-            BankEntry& e = bankIx_[static_cast<std::size_t>(b)];
+            const BankEntry& e = bankIx_[static_cast<std::size_t>(b)];
             if (e.read.hitCount > 0 || (draining && e.write.hitCount > 0))
                 continue;
             const BankRecord& rec = dev_.bankRecord(b);
@@ -801,8 +902,6 @@ ConventionalMc::stepOnceIndexed(Tick until)
                 now_ - bankLastUse(rec) < cfg_.adaptiveIdleTimeout) {
                 continue;
             }
-            if (e.preStamp == stepStamp_)
-                continue; // a conflict-PRE for this bank already exists
             DramAddress a = e.addr;
             a.row = rec.openRow;
             Candidate c;
@@ -911,6 +1010,7 @@ ConventionalMc::stepOnceIndexed(Tick until)
             RefreshUnit& u =
                 refreshUnits_[static_cast<std::size_t>(best.refreshUnit)];
             u.rot.advance(dramCfg_.org.banksPerSid());
+            updateRefreshDue();
             if (faults_.enabled())
                 runScrub(); // patrol scrub rides the refresh calendar
         } else {
@@ -1310,9 +1410,6 @@ ConventionalMc::saveCheckpoint(CheckpointWriter& w) const
         w.putI32(l.head);
         w.putI32(l.tail);
         w.putI32(l.count);
-        w.putI32(l.hitCount);
-        w.putI32(l.hitRep);
-        w.putI64(l.minArrivalLb);
     };
 
     saveBaseState(w);
@@ -1340,24 +1437,8 @@ ConventionalMc::saveCheckpoint(CheckpointWriter& w) const
     for (const BankEntry& e : bankIx_) {
         put_bank_list(e.read);
         put_bank_list(e.write);
-        w.putI32(e.activePos);
-        w.putI32(e.openPos);
-        w.putU64(e.preStamp);
-        putDramAddress(w, e.addr);
     }
-    w.putCount(activeBanks_.size());
-    for (const int b : activeBanks_)
-        w.putI32(b);
-    w.putCount(openBanks_.size());
-    for (const int b : openBanks_)
-        w.putI32(b);
-    w.putCount(unitForcedBank_.size());
-    for (const int b : unitForcedBank_)
-        w.putI32(b);
     w.putU64(admitSeq_);
-    w.putU64(stepStamp_);
-    w.putI32(readCount_);
-    w.putI32(writeCount_);
 
     readOutstanding_.saveState(w);
     writeOutstanding_.saveState(w);
@@ -1383,11 +1464,19 @@ ConventionalMc::saveCheckpoint(CheckpointWriter& w) const
 void
 ConventionalMc::restoreCheckpoint(CheckpointReader& r)
 {
-    const auto get_op = [&r]() {
+    const Organization& org = dramCfg_.org;
+    const auto get_op = [&r, &org]() {
         Op op;
         op.addr = getDramAddress(r);
+        if (!addressInRange(org, op.addr))
+            fatal("hbm4 checkpoint: op address %s out of range",
+                  op.addr.str().c_str());
         op.reqId = r.getU64();
-        op.kind = static_cast<ReqKind>(r.getU8());
+        const std::uint8_t kind = r.getU8();
+        if (kind != static_cast<std::uint8_t>(ReqKind::Read) &&
+            kind != static_cast<std::uint8_t>(ReqKind::Write))
+            fatal("hbm4 checkpoint: bad op kind %u", kind);
+        op.kind = static_cast<ReqKind>(kind);
         op.arrival = r.getI64();
         op.singleOp = r.getBool();
         op.attempt = r.getI32();
@@ -1396,12 +1485,10 @@ ConventionalMc::restoreCheckpoint(CheckpointReader& r)
         return op;
     };
     const auto get_bank_list = [&r](BankList& l) {
+        l = BankList{};
         l.head = r.getI32();
         l.tail = r.getI32();
         l.count = r.getI32();
-        l.hitCount = r.getI32();
-        l.hitRep = r.getI32();
-        l.minArrivalLb = r.getI64();
     };
 
     loadBaseState(r);
@@ -1414,7 +1501,14 @@ ConventionalMc::restoreCheckpoint(CheckpointReader& r)
     for (Op& op : writeQ_)
         op = get_op();
 
-    pool_.resize(r.getCount());
+    const std::size_t nodes = r.getCount();
+    const auto max_nodes =
+        cfg_.legacyScheduler ? 0u
+                             : static_cast<std::size_t>(cfg_.readQueueDepth +
+                                                        cfg_.writeQueueDepth);
+    if (nodes > max_nodes)
+        fatal("hbm4 checkpoint: %zu op nodes exceed the queue depths", nodes);
+    pool_.resize(nodes);
     for (OpNode& n : pool_) {
         n.op = get_op();
         n.seq = r.getU64();
@@ -1430,25 +1524,8 @@ ConventionalMc::restoreCheckpoint(CheckpointReader& r)
     for (BankEntry& e : bankIx_) {
         get_bank_list(e.read);
         get_bank_list(e.write);
-        e.activePos = r.getI32();
-        e.openPos = r.getI32();
-        e.preStamp = r.getU64();
-        e.addr = getDramAddress(r);
     }
-    activeBanks_.resize(r.getCount());
-    for (int& b : activeBanks_)
-        b = r.getI32();
-    openBanks_.resize(r.getCount());
-    for (int& b : openBanks_)
-        b = r.getI32();
-    if (r.getCount() != unitForcedBank_.size())
-        fatal("hbm4 checkpoint refresh-unit count mismatch");
-    for (int& b : unitForcedBank_)
-        b = r.getI32();
     admitSeq_ = r.getU64();
-    stepStamp_ = r.getU64();
-    readCount_ = r.getI32();
-    writeCount_ = r.getI32();
 
     readOutstanding_.loadState(r);
     writeOutstanding_.loadState(r);
@@ -1459,7 +1536,11 @@ ConventionalMc::restoreCheckpoint(CheckpointReader& r)
         u.rot.interval = r.getI64();
         u.rot.due = r.getI64();
         u.rot.cursor = r.getI32();
+        if (u.rot.interval <= 0 || u.rot.cursor < 0 ||
+            u.rot.cursor >= org.banksPerSid())
+            fatal("hbm4 checkpoint: bad refresh rotation");
     }
+    updateRefreshDue();
 
     retryQ_.resize(r.getCount());
     for (PendingRetry& p : retryQ_) {
@@ -1471,6 +1552,69 @@ ConventionalMc::restoreCheckpoint(CheckpointReader& r)
     casIssued_ = r.getU64();
     readQOcc_.loadState(r);
     scrubEvents_.clear();
+    if (!cfg_.legacyScheduler)
+        rebuildIndex();
+}
+
+void
+ConventionalMc::rebuildIndex()
+{
+    // Every restored link is range- and consistency-checked before use:
+    // each bank list must walk from head to tail through in-range,
+    // not-yet-seen nodes of that bank and queue, with matching back links
+    // and count; the free list must cover exactly the remaining nodes.
+    const int npool = static_cast<int>(pool_.size());
+    std::vector<char> seen(pool_.size(), 0);
+    readCount_ = writeCount_ = 0;
+    for (int b = 0; b < static_cast<int>(bankIx_.size()); ++b) {
+        BankEntry& e = bankIx_[static_cast<std::size_t>(b)];
+        for (const bool is_write : {false, true}) {
+            BankList& l = is_write ? e.write : e.read;
+            int prev = -1;
+            int walked = 0;
+            for (int i = l.head; i != -1;
+                 i = pool_[static_cast<std::size_t>(i)].next) {
+                if (i < 0 || i >= npool || seen[static_cast<std::size_t>(i)])
+                    fatal("hbm4 checkpoint: bad op-list link %d", i);
+                seen[static_cast<std::size_t>(i)] = 1;
+                const OpNode& n = pool_[static_cast<std::size_t>(i)];
+                if (n.bank != b || n.prev != prev ||
+                    flatBankIndex(dramCfg_.org, n.op.addr) != b ||
+                    (n.op.kind == ReqKind::Write) != is_write)
+                    fatal("hbm4 checkpoint: op node %d is mislinked", i);
+                if (prev != -1 &&
+                    n.op.arrival <
+                        pool_[static_cast<std::size_t>(prev)].op.arrival)
+                    l.ordered = false;
+                prev = i;
+                ++walked;
+            }
+            if (prev != l.tail || walked != l.count)
+                fatal("hbm4 checkpoint: bank %d op list is inconsistent", b);
+            (is_write ? writeCount_ : readCount_) += walked;
+        }
+    }
+    for (const int n : freeNodes_) {
+        if (n < 0 || n >= npool || seen[static_cast<std::size_t>(n)])
+            fatal("hbm4 checkpoint: bad free op node %d", n);
+        seen[static_cast<std::size_t>(n)] = 1;
+    }
+    if (std::find(seen.begin(), seen.end(), 0) != seen.end())
+        fatal("hbm4 checkpoint: op node neither queued nor free");
+
+    // Derived state: open banks from the device, then per bank the hit
+    // summaries, CAS-list entries and row-worklist slot.
+    for (auto& l : casLists_)
+        l.clear();
+    rowBanks_.clear();
+    openBanks_.clear();
+    for (int b = 0; b < static_cast<int>(bankIx_.size()); ++b) {
+        BankEntry& e = bankIx_[static_cast<std::size_t>(b)];
+        e.rowPos = e.openPos = -1;
+        if (dev_.bankRecord(b).open())
+            noteBankOpened(b);
+        reindexBankRow(b);
+    }
 }
 
 } // namespace rome

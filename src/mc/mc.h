@@ -11,13 +11,17 @@
  *
  *  - The *indexed* scheduler (default) keeps every queued column op in a
  *    pooled node linked into its bank's per-queue FIFO list, with per-bank
- *    summaries (queued-op counts, open-row hit counts, cached best-hit
+ *    summaries (queued-op counts, open-row hit counts, hit
  *    representatives, oldest-arrival bounds) maintained incrementally on
- *    admit/issue/row-change. A scheduling step walks only the banks that
- *    have work, emits at most one ACT/PRE candidate per bank structurally
- *    (no per-step hash sets), consults a per-step refresh-block table, and
- *    tracks the running best candidate — zero heap allocation in steady
- *    state and O(active banks) device probes per step.
+ *    admit/issue/row change/sparing. One per-bank sync after each change
+ *    keeps two rank-ordered candidate structures current: per pseudo
+ *    channel, a list of the banks' RD and WR hit representatives sorted
+ *    in tie-break order, and a worklist of the banks that can emit a row
+ *    command (closed with work, or open with a conflicting op). A step
+ *    probes each PC's CAS list only until no later entry can win, walks
+ *    the row worklist, then offers the refresh candidates, tracking the
+ *    running best with floor-based probe pruning — zero heap allocation
+ *    in steady state.
  *
  *  - The *legacy* scheduler (McConfig::legacyScheduler) is the seed
  *    FR-FCFS loop that rebuilds its whole candidate set from the flat
@@ -121,6 +125,10 @@ class ConventionalMc : public ChannelControllerBase
     double rowHitRate() const;
     /** Read-queue occupancy sampled at each issued command. */
     const Accumulator& readQueueOccupancy() const { return readQOcc_; }
+    /** The write-drain hysteresis is currently draining writes. */
+    bool drainingWrites() const { return drainingWrites_; }
+    /** Re-reads waiting out their ECC retry backoff. */
+    std::size_t pendingRetries() const { return retryQ_.size(); }
 
     /** Table IV introspection. */
     McComplexity complexity() const override;
@@ -128,12 +136,14 @@ class ConventionalMc : public ChannelControllerBase
     ControllerStats stats() const override;
 
     /**
-     * Checkpoint the full mutable controller + device state (queues,
-     * per-bank index, refresh rotations, retry/fault state, statistics).
-     * Restore then continues bit-identically to a run that never
-     * checkpointed (every ControllerStats field compared by operator==).
-     * The restore target must be constructed with the same DramConfig /
-     * mapping / McConfig.
+     * Checkpoint the full mutable controller + device state (queued ops
+     * with their per-bank list links, refresh rotations, retry/fault
+     * state, statistics). Restore range- and consistency-checks every
+     * restored index and op address (fatal on a bad one), rebuilds the
+     * derived scheduling index, and then continues bit-identically to a
+     * run that never checkpointed (every ControllerStats field compared
+     * by operator==). The restore target must be constructed with the
+     * same DramConfig / mapping / McConfig.
      */
     void saveCheckpoint(CheckpointWriter& w) const override;
     void restoreCheckpoint(CheckpointReader& r) override;
@@ -200,9 +210,6 @@ class ConventionalMc : public ChannelControllerBase
 
     // ---- incremental per-bank scheduling index -------------------------
 
-    static constexpr int kRepNone = -1;    ///< no hit representative
-    static constexpr int kRepUnknown = -2; ///< representative needs rescan
-
     /** Pooled node of one queued op, linked into its bank's FIFO list. */
     struct OpNode
     {
@@ -211,6 +218,31 @@ class ConventionalMc : public ChannelControllerBase
         int bank = -1;         ///< flat bank index
         int prev = -1;
         int next = -1;
+    };
+
+    /**
+     * A bank's RD or WR hit representative as listed in its PC's CAS
+     * list. The static key (arrival, read before write, seq) orders CAS
+     * candidates exactly as candRankLess does: an op is aged iff its
+     * arrival < now - threshold, so the aged ones form a prefix.
+     */
+    struct CasEntry
+    {
+        Tick arrival = 0;
+        std::uint64_t seq = 0;
+        int node = -1;
+        int bank = -1;
+        bool isWrite = false;
+
+        bool
+        operator<(const CasEntry& o) const
+        {
+            if (arrival != o.arrival)
+                return arrival < o.arrival;
+            if (isWrite != o.isWrite)
+                return !isWrite;
+            return seq < o.seq;
+        }
     };
 
     /** One bank's per-queue FIFO list plus its incremental summary. */
@@ -222,9 +254,23 @@ class ConventionalMc : public ChannelControllerBase
         /** Ops hitting the currently open row (meaningful while open). */
         int hitCount = 0;
         /** Min-(arrival, seq) hit op — the bank's best CAS candidate. */
-        int hitRep = kRepNone;
-        /** Lower bound on the oldest arrival queued here (aged-QoS gate). */
+        int hitRep = -1;
+        /**
+         * Lower bound on the oldest arrival queued here (aged-QoS gate);
+         * exactly the head's arrival while the list is ordered.
+         */
         Tick minArrivalLb = kTickMax;
+        /**
+         * Arrivals are non-decreasing in list (= admission) order, so the
+         * hit rep is the first hit in list order and its successor is
+         * found walking forward from it. Cleared by an out-of-order
+         * insert (an ECC retry re-admission), set again when the list
+         * empties; while cleared, losing the rep rescans the list.
+         */
+        bool ordered = true;
+        /** The CAS-list entry of hitRep, when one is listed. */
+        bool listed = false;
+        CasEntry entry;
     };
 
     /** Per-bank index entry. */
@@ -232,11 +278,9 @@ class ConventionalMc : public ChannelControllerBase
     {
         BankList read;
         BankList write;
-        int activePos = -1; ///< position in activeBanks_, -1 when absent
-        int openPos = -1;   ///< position in openBanks_, -1 when closed
-        /** Step stamp of an emitted conflict-PRE (dedupes idle-PRE). */
-        std::uint64_t preStamp = 0;
-        DramAddress addr;   ///< bank coordinates (row/col unused)
+        int rowPos = -1;  ///< position in rowBanks_, -1 when absent
+        int openPos = -1; ///< position in openBanks_, -1 when closed
+        DramAddress addr; ///< bank coordinates (row/col unused)
     };
 
     bool admitOps() override;
@@ -283,13 +327,20 @@ class ConventionalMc : public ChannelControllerBase
     /** Rebuild a bank's hit summaries after its open row changed. */
     void reindexBankRow(int bank);
     void rescanList(BankList& l, int open_row);
-    int resolveHitRep(BankList& l, int open_row);
+    /** Bring a list's entry in its PC's CAS list up to date. */
+    void syncCasEntry(BankList& l, int bank, bool is_write);
+    /** Add or drop the bank from the row-command worklist. */
+    void syncRowWork(int bank);
     /** First aged conflicting op in read-then-write seq order, or -1. */
     int agedConflictRep(const BankEntry& e, bool any_write, int open_row,
                         bool& rep_is_write);
     void noteBankOpened(int bank);
     void noteBankClosed(int bank);
     void applyRowCommand(const Command& cmd);
+    /** Earliest due tick over the refresh units (kTickMax when none). */
+    void updateRefreshDue();
+    /** Validate the restored op lists, then rebuild every derived index. */
+    void rebuildIndex();
     static bool candBeats(const Candidate& a, const Candidate& b);
     static bool candRankLess(const Candidate& a, const Candidate& b);
 
@@ -307,16 +358,24 @@ class ConventionalMc : public ChannelControllerBase
     std::vector<Op> readQ_;
     std::vector<Op> writeQ_;
 
-    // Indexed scheduler state (used otherwise).
+    // Indexed scheduler state (used otherwise). Only the pool and the
+    // list links are checkpointed; the rest is rebuilt on restore.
     std::vector<OpNode> pool_;
     std::vector<int> freeNodes_;
     std::vector<BankEntry> bankIx_;
-    std::vector<int> activeBanks_; ///< banks with any queued op
-    std::vector<int> openBanks_;   ///< banks the MC holds open
-    /** Per refresh unit: cursor bank when its refresh is forced, else -1. */
+    /** Per PC: the banks' hit representatives, sorted by CasEntry key. */
+    std::vector<std::vector<CasEntry>> casLists_;
+    /** Banks that can emit a row command: closed with queued work, or
+     *  open with a queued op conflicting with the open row. */
+    std::vector<int> rowBanks_;
+    std::vector<int> openBanks_; ///< banks the MC holds open
+    /** Per-step scratch: per refresh unit the cursor bank when its
+     *  refresh is forced (else -1), and the refresh candidates. */
     std::vector<int> unitForcedBank_;
+    std::vector<Candidate> refreshCands_;
+    /** Earliest refresh due tick; the refresh loop is skipped before it. */
+    Tick refreshDue_ = kTickMax;
     std::uint64_t admitSeq_ = 0;
-    std::uint64_t stepStamp_ = 0;
     int readCount_ = 0;
     int writeCount_ = 0;
 

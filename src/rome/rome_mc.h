@@ -248,10 +248,11 @@ class RomeMc : public ChannelControllerBase
     std::vector<FsmSlot> opSlots_;
     std::vector<FsmSlot> refSlots_;
     /**
-     * Indexed scheduler: FSM occupancy as min-heaps on retire deadline
-     * (OutstandingOps: earliest-deadline retirement is a heap pop instead
-     * of a slot scan) plus a per-VBA busy table indexed by (sid, vba) key,
-     * so vbaBusy and the per-op ready-time query are O(1) lookups.
+     * Indexed scheduler: FSM occupancy as arrays sorted on retire
+     * deadline (OutstandingOps: earliest-deadline retirement pops the
+     * front instead of scanning slots) plus a per-VBA busy table indexed
+     * by (sid, vba) key, so vbaBusy and the per-op ready-time query are
+     * O(1) lookups.
      */
     OutstandingOps opBusy_;
     OutstandingOps refBusy_;

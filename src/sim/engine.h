@@ -329,11 +329,14 @@ struct RefreshRotation
  * still count against the queue depth (this is what makes deep queues
  * necessary for bank-parallelism, §V-A).
  *
- * Entries live in a min-heap on their release tick, so the controller hot
- * loop pays O(log n) per push/release and O(1) for the next-release query
- * that feeds the schedulers' event calendars. The backing vector's capacity
- * persists across steps, so a warmed-up controller releases and pushes
- * without touching the heap allocator.
+ * Entries live in an array sorted by release tick, read from a moving
+ * front index. The conventional controller pushes in issue order, and its
+ * release ticks never decrease, so a push is an append; RoMe's FSM slots
+ * push out of order and pay a short insertion. release() pops from the
+ * front and the next-release query is a binary search past it. The backing
+ * vector's capacity persists across steps (the consumed front is
+ * compacted away only when the array is full), so a warmed-up controller
+ * releases and pushes without touching the heap allocator.
  */
 class OutstandingOps
 {
@@ -342,58 +345,72 @@ class OutstandingOps
     void
     release(Tick now)
     {
-        while (!heap_.empty() && heap_.front() <= now) {
-            std::pop_heap(heap_.begin(), heap_.end(), std::greater<Tick>{});
-            heap_.pop_back();
+        while (front_ < ticks_.size() && ticks_[front_] <= now)
+            ++front_;
+        if (front_ == ticks_.size()) {
+            ticks_.clear();
+            front_ = 0;
         }
     }
 
     void
     push(Tick data_end)
     {
-        heap_.push_back(data_end);
-        std::push_heap(heap_.begin(), heap_.end(), std::greater<Tick>{});
+        if (ticks_.size() == ticks_.capacity() && front_ > 0) {
+            ticks_.erase(ticks_.begin(),
+                         ticks_.begin() + static_cast<std::ptrdiff_t>(front_));
+            front_ = 0;
+        }
+        if (ticks_.size() == front_ || ticks_.back() <= data_end) {
+            ticks_.push_back(data_end);
+            return;
+        }
+        ticks_.insert(std::upper_bound(ticks_.begin() +
+                                           static_cast<std::ptrdiff_t>(front_),
+                                       ticks_.end(), data_end),
+                      data_end);
     }
 
-    std::size_t size() const { return heap_.size(); }
+    std::size_t size() const { return ticks_.size() - front_; }
 
     /** Earliest strictly-future release, or kTickMax when none. */
     Tick
     firstFreeAfter(Tick now) const
     {
-        if (heap_.empty())
-            return kTickMax;
-        if (heap_.front() > now)
-            return heap_.front();
         // Entries at or before now survive only between release() calls;
-        // fall back to an exact scan so the query stays correct anywhere.
-        Tick first = kTickMax;
-        for (const Tick t : heap_) {
-            if (t > now && t < first)
-                first = t;
-        }
-        return first;
+        // the search skips them so the query stays correct anywhere.
+        const auto it = std::upper_bound(
+            ticks_.begin() + static_cast<std::ptrdiff_t>(front_),
+            ticks_.end(), now);
+        return it == ticks_.end() ? kTickMax : *it;
     }
 
-    /** The raw heap array round-trips verbatim (heap order included). */
+    /**
+     * The live entries in release order. A sorted array is a valid
+     * min-heap, so the wire format is the heap array earlier builds
+     * wrote, and loadState accepts either.
+     */
     void
     saveState(CheckpointWriter& w) const
     {
-        w.putCount(heap_.size());
-        for (const Tick t : heap_)
-            w.putI64(t);
+        w.putCount(size());
+        for (std::size_t i = front_; i < ticks_.size(); ++i)
+            w.putI64(ticks_[i]);
     }
 
     void
     loadState(CheckpointReader& r)
     {
-        heap_.resize(r.getCount());
-        for (Tick& t : heap_)
+        ticks_.resize(r.getCount());
+        for (Tick& t : ticks_)
             t = r.getI64();
+        front_ = 0;
+        std::sort(ticks_.begin(), ticks_.end());
     }
 
   private:
-    std::vector<Tick> heap_; ///< min-heap on release tick
+    std::vector<Tick> ticks_; ///< sorted on release tick from front_ on
+    std::size_t front_ = 0;   ///< first live entry
 };
 
 /**

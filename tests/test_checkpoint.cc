@@ -321,6 +321,149 @@ TEST(Checkpoint, MismatchedRestoreIsFatal)
                  std::runtime_error);
 }
 
+TEST(Checkpoint, ConventionalResumeMidWriteDrainWithRetries)
+{
+    // Snapshot while the write drain is on and ECC re-reads are waiting
+    // out their backoff: the restored controller rebuilds its scheduling
+    // index (hit representatives, per-PC CAS lists, row worklist) from
+    // the op lists, so continuing must match the straight run exactly.
+    const DramConfig dram = hbm4Config();
+    McConfig cfg;
+    cfg.faults.enabled = true;
+    cfg.faults.transientLineRate = 5e-3;
+    cfg.faults.retryBackoffTicks = 1000_ns;
+    const auto reqs = mixedWorkload(347, 0.6);
+    const auto make = [&] {
+        return std::make_unique<ConventionalMc>(
+            dram, bestBaselineMapping(dram.org), cfg);
+    };
+
+    Tick end = 0;
+    {
+        auto probe = make();
+        enqueueAll(*probe, reqs);
+        probe->drain();
+        end = probe->now();
+    }
+    auto oracle = make();
+    enqueueAll(*oracle, reqs);
+    oracle->runUntil(end);
+    ASSERT_TRUE(oracle->idle());
+    const ControllerStats want = oracle->stats();
+    ASSERT_GT(want.retryCount, 0u);
+
+    auto a = make();
+    enqueueAll(*a, reqs);
+    Tick t = 0;
+    while (!(a->drainingWrites() && a->pendingRetries() > 0)) {
+        ASSERT_LT(t, end) << "no mid-drain point with retries pending";
+        t += 20_ns;
+        a->runUntil(t);
+    }
+    const auto blob = saveControllerCheckpoint(*a);
+    auto b = make();
+    restoreControllerCheckpoint(*b, blob);
+    EXPECT_TRUE(b->drainingWrites());
+    EXPECT_EQ(b->pendingRetries(), a->pendingRetries());
+    b->runUntil(end);
+    EXPECT_TRUE(want == b->stats()) << "restored twin diverged at " << t;
+    a->runUntil(end);
+    EXPECT_TRUE(want == a->stats()) << "original diverged at " << t;
+}
+
+TEST(Checkpoint, CorruptedOpListIndexIsFatal)
+{
+    // Two queued reads to one bank form a two-node op list. Their pool
+    // nodes are found in the blob by the distinctive request ids; every
+    // single corrupted link or bank index must be refused on restore.
+    const DramConfig dram = hbm4Config();
+    const auto make = [&] {
+        return std::make_unique<ConventionalMc>(
+            dram, bestBaselineMapping(dram.org), McConfig{});
+    };
+    auto mc = make();
+    const std::uint64_t line = dram.org.columnBytes;
+    const int bank = flatBankIndex(dram.org, mc->mapping().decode(0));
+    std::uint64_t second = line;
+    while (flatBankIndex(dram.org, mc->mapping().decode(second)) != bank)
+        second += line;
+    const std::uint64_t id0 = 0x5a17c0de00000001ull;
+    const std::uint64_t id1 = 0x5a17c0de00000002ull;
+    mc->enqueue({id0, ReqKind::Read, 0, line, 0});
+    mc->enqueue({id1, ReqKind::Read, second, line, 0});
+    mc->runUntil(0); // both admitted, the bank activated, no CAS yet
+    const auto blob = saveControllerCheckpoint(*mc);
+
+    const auto find_id = [&blob](std::uint64_t id) {
+        std::size_t at = blob.size();
+        int hits = 0;
+        for (std::size_t i = 0; i + 8 <= blob.size(); ++i) {
+            std::uint64_t v = 0;
+            for (int k = 0; k < 8; ++k)
+                v |= static_cast<std::uint64_t>(blob[i + k]) << (8 * k);
+            if (v == id) {
+                at = i;
+                ++hits;
+            }
+        }
+        EXPECT_EQ(hits, 1) << std::hex << id;
+        return at;
+    };
+    // Pool node layout after the request id: kind u8, arrival i64,
+    // singleOp u8, attempt i32, retryWait i64, linkDelay i64, seq u64,
+    // then bank, prev and next as i32.
+    const auto field = [](std::size_t id_at, int which) {
+        return id_at + 46 + 4 * static_cast<std::size_t>(which);
+    };
+    const std::size_t n0 = find_id(id0);
+    const std::size_t n1 = find_id(id1);
+    ASSERT_LT(n0, blob.size());
+    ASSERT_LT(n1, blob.size());
+    const auto get_i32 = [&blob](std::size_t at) {
+        std::uint32_t v = 0;
+        for (int k = 0; k < 4; ++k)
+            v |= static_cast<std::uint32_t>(blob[at + k]) << (8 * k);
+        return static_cast<std::int32_t>(v);
+    };
+    ASSERT_EQ(get_i32(field(n0, 0)), bank);
+    ASSERT_EQ(get_i32(field(n0, 1)), -1);
+    ASSERT_EQ(get_i32(field(n0, 2)), 1);
+    ASSERT_EQ(get_i32(field(n1, 1)), 0);
+
+    {
+        auto twin = make();
+        restoreControllerCheckpoint(*twin, blob); // the intact blob loads
+        mc->drain();
+        twin->drain();
+        EXPECT_TRUE(mc->stats() == twin->stats());
+    }
+    struct Mutation
+    {
+        const char* what;
+        std::size_t at;
+        std::int32_t value;
+    };
+    const Mutation mutations[] = {
+        {"next out of range", field(n0, 2), 2},
+        {"negative next", field(n0, 2), -7},
+        {"next cycles to itself", field(n0, 2), 0},
+        {"prev mislinked", field(n1, 1), 1},
+        {"bank out of range", field(n1, 0), 1 << 20},
+        {"bank of another list", field(n1, 0),
+         (bank + 1) % dram.org.banksPerChannel()},
+    };
+    for (const Mutation& m : mutations) {
+        auto bad = blob;
+        for (int k = 0; k < 4; ++k)
+            bad[m.at + static_cast<std::size_t>(k)] = static_cast<std::uint8_t>(
+                static_cast<std::uint32_t>(m.value) >> (8 * k));
+        auto twin = make();
+        EXPECT_THROW(restoreControllerCheckpoint(*twin, bad),
+                     std::runtime_error)
+            << m.what;
+    }
+}
+
 TEST(Checkpoint, ResumedSourceMustReplayTheStream)
 {
     const DramConfig dram = hbm4Config();

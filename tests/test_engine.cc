@@ -8,8 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
+#include <vector>
 
+#include "common/checkpoint.h"
 #include "common/types.h"
 #include "dram/hbm4_config.h"
 #include "mc/mc.h"
@@ -250,7 +254,7 @@ TEST(Engine, OutstandingOpsHeapSemantics)
     EXPECT_EQ(ops.size(), 0u);
     EXPECT_EQ(ops.firstFreeAfter(0), kTickMax);
 
-    // Out-of-order pushes: the heap must always surface the earliest.
+    // Out-of-order pushes: the earliest must always surface first.
     ops.push(500);
     ops.push(100);
     ops.push(300);
@@ -269,6 +273,83 @@ TEST(Engine, OutstandingOpsHeapSemantics)
     EXPECT_EQ(ops.size(), 2u);
     ops.release(500);
     EXPECT_EQ(ops.size(), 0u);
+}
+
+TEST(Engine, OutstandingOpsOutOfOrderPushesAndCompaction)
+{
+    OutstandingOps ops;
+    // RoMe FSM pattern: retire up to the issue tick, then push a deadline
+    // that may precede ones already held.
+    ops.push(400);
+    ops.push(900);
+    ops.release(100);
+    ops.push(250);
+    ops.push(900);
+    ops.push(600);
+    EXPECT_EQ(ops.size(), 5u);
+    EXPECT_EQ(ops.firstFreeAfter(0), 250);
+    EXPECT_EQ(ops.firstFreeAfter(250), 400);
+    EXPECT_EQ(ops.firstFreeAfter(600), 900);
+    ops.release(400);
+    EXPECT_EQ(ops.size(), 3u);
+    EXPECT_EQ(ops.firstFreeAfter(0), 600);
+    // Stale entries (<= now, not yet released) are skipped by the query.
+    EXPECT_EQ(ops.firstFreeAfter(700), 900);
+    ops.release(900);
+    EXPECT_EQ(ops.size(), 0u);
+    EXPECT_EQ(ops.firstFreeAfter(0), kTickMax);
+
+    // A window that never drains: appends, front pops and the occasional
+    // compaction keep exactly the live entries in release order.
+    OutstandingOps win;
+    for (Tick t = 1; t <= 5000; ++t) {
+        win.push(t + 3);
+        if (t % 7 == 0)
+            win.push(t + 1); // out of order
+        win.release(t);
+        if (t >= 3) {
+            ASSERT_EQ(win.firstFreeAfter(t), t + 1) << "t " << t;
+        }
+    }
+    EXPECT_EQ(win.size(), 3u);
+}
+
+TEST(Engine, OutstandingOpsLoadsHeapOrderedState)
+{
+    // Earlier builds saved the raw min-heap array; loading one must
+    // release in the same order as the sorted form this build writes.
+    std::vector<Tick> heap = {70, 10, 50, 30, 20, 60, 40, 10};
+    std::make_heap(heap.begin(), heap.end(), std::greater<Tick>{});
+    ASSERT_FALSE(std::is_sorted(heap.begin(), heap.end()));
+    CheckpointWriter w;
+    w.putCount(heap.size());
+    for (const Tick t : heap)
+        w.putI64(t);
+    const auto blob = w.take();
+    CheckpointReader r(blob);
+    OutstandingOps ops;
+    ops.loadState(r);
+    r.finish();
+    EXPECT_EQ(ops.size(), heap.size());
+
+    // Save round-trips to a sorted array (a valid min-heap).
+    CheckpointWriter w2;
+    ops.saveState(w2);
+    const auto blob2 = w2.take();
+    CheckpointReader r2(blob2);
+    std::vector<Tick> saved(r2.getCount());
+    for (Tick& t : saved)
+        t = r2.getI64();
+    EXPECT_TRUE(std::is_sorted(saved.begin(), saved.end()));
+    EXPECT_TRUE(std::is_heap(saved.begin(), saved.end(),
+                             std::greater<Tick>{}));
+
+    std::vector<std::size_t> left;
+    for (const Tick t : {Tick{10}, Tick{25}, Tick{50}, Tick{69}, Tick{70}}) {
+        ops.release(t);
+        left.push_back(ops.size());
+    }
+    EXPECT_EQ(left, (std::vector<std::size_t>{6, 5, 2, 1, 0}));
 }
 
 TEST(Engine, StepCounterAdvancesWithWork)

@@ -398,6 +398,66 @@ TEST(SchedulerParity, PathologicalMappingAndNoRefresh)
     }
 }
 
+TEST(SchedulerParity, FaultRetriesAndSparing)
+{
+    REQUIRE_ORACLES();
+    // An ECC re-read re-enters the read queue with its request's original
+    // arrival, so once arrivals are spread it lands behind younger ops
+    // (an out-of-order bank list); row sparing rewrites queued ops' rows
+    // (a hit-summary reindex). Both must keep the decision order. The
+    // streamed case puts many re-reads behind open-row hits.
+    const auto spread = [](std::vector<Request> reqs) {
+        for (std::size_t i = 0; i < reqs.size(); ++i)
+            reqs[i].arrival = ticksFromNs(static_cast<std::int64_t>(8 * i));
+        return reqs;
+    };
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        RandomPattern p;
+        p.totalBytes = 512_KiB;
+        p.requestBytes = 2_KiB;
+        p.capacity = hbm4Config().org.channelCapacity();
+        p.writeFraction = 0.3;
+        p.seed = seed;
+        const auto random_reqs = spread(randomRequests(p));
+        StreamPattern sp;
+        sp.totalBytes = 512_KiB;
+        sp.requestBytes = 2_KiB;
+        sp.writeFraction = 0.3;
+        sp.seed = seed;
+        const auto stream_reqs = spread(streamRequests(sp));
+
+        struct Case
+        {
+            const char* label;
+            const std::vector<Request>* reqs;
+            double transientRate;
+            bool stuckRows;
+        };
+        for (const Case& c : {Case{"transient", &random_reqs, 1e-3, false},
+                              Case{"stuck rows", &random_reqs, 0.0, true},
+                              Case{"streamed", &stream_reqs, 5e-3, false}}) {
+            McConfig indexed;
+            indexed.faults.enabled = true;
+            indexed.faults.seed = seed;
+            indexed.faults.transientLineRate = c.transientRate;
+            if (c.stuckRows) {
+                indexed.faults.stuckRowFraction = 0.01;
+                indexed.faults.retryLimit = 1;
+                indexed.faults.ceSpareThreshold = 2;
+            }
+            McConfig legacy = indexed;
+            legacy.legacyScheduler = true;
+            const ControllerStats si = runConv(indexed, *c.reqs);
+            EXPECT_GT(si.retryCount, 0u) << c.label << " seed " << seed;
+            if (c.stuckRows) {
+                EXPECT_GT(si.sparedRows, 0u) << "seed " << seed;
+            }
+            EXPECT_TRUE(si == runConv(legacy, *c.reqs))
+                << c.label << " seed " << seed;
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Golden-stats snapshots: integer command/byte counts of the pre-refactor
 // scheduler, pinned so any future decision-order change is caught even if
