@@ -66,28 +66,6 @@ struct ReliabilityRow
     RatePoint pt;
 };
 
-RatePoint
-toRatePoint(const ServingResult& res)
-{
-    RatePoint pt;
-    pt.offeredRps = res.offeredRps;
-    pt.achievedRps = res.achievedRps;
-    pt.completedRequests = res.aggregate.completedRequests;
-    pt.p50Ns = res.aggregate.latencyPercentileNs(50.0);
-    pt.p90Ns = res.aggregate.latencyPercentileNs(90.0);
-    pt.p99Ns = res.aggregate.latencyPercentileNs(99.0);
-    pt.p999Ns = res.aggregate.latencyPercentileNs(99.9);
-    pt.maxNs = res.aggregate.latencyHistNs.maxNs();
-    pt.meanNs = res.aggregate.latencyHistNs.meanNs();
-    pt.effectiveBandwidth = res.aggregate.effectiveBandwidth;
-    pt.ceCount = res.aggregate.ceCount;
-    pt.dueCount = res.aggregate.dueCount;
-    pt.retryCount = res.aggregate.retryCount;
-    pt.scrubCount = res.aggregate.scrubCount;
-    pt.sparedRows = res.aggregate.sparedRows;
-    return pt;
-}
-
 std::string
 rateLabel(double rate)
 {
@@ -159,7 +137,8 @@ main(int argc, char** argv)
     for (const auto& system : systems) {
         for (const double rate : rates) {
             const ServingResult res = run_point(system, rate, seed, 0);
-            const RatePoint pt = toRatePoint(res);
+            const RatePoint pt = makeRatePoint(
+                res.offeredRps, res.achievedRps, res.aggregate, 0.05);
             rows.push_back({system, rate, pt});
             t.addRow({system, rateLabel(rate), Table::num(pt.p50Ns / 1e3, 1),
                       Table::num(pt.p99Ns / 1e3, 1),

@@ -66,7 +66,10 @@ ChannelDevice::sidRec(int pc, int sid) const
     return sids_[static_cast<std::size_t>(pc * org_.sidsPerChannel + sid)];
 }
 
-Tick
+// Helpers defined `inline` below run once per command on both the
+// per-command path and the bulk template path, so both inline them.
+
+inline Tick
 ChannelDevice::earliestAct(const DramAddress& a, Tick t0) const
 {
     const BankRecord& b = bank(a);
@@ -89,29 +92,41 @@ ChannelDevice::earliestAct(const DramAddress& a, Tick t0) const
     }
     if (s.lastAct != kTickInvalid)
         t = maxTick(t, s.lastAct + t_.tRRDS);
-    // tFAW: the fourth-to-last ACT bounds the next one.
-    const Tick oldest = s.actWindow[s.actWindowHead];
-    if (oldest != kTickInvalid)
-        t = maxTick(t, oldest + t_.tFAW);
-    return pcs_[static_cast<std::size_t>(a.pc)].rowBus.nextFree(t);
+    // actFloor adds tFAW (its tRRD term is implied by tRRDS above).
+    return pcs_[static_cast<std::size_t>(a.pc)].rowBus.nextFree(
+        actFloor(a.pc, a.sid, t));
 }
 
 Tick
 ChannelDevice::earliestPre(const DramAddress& a, Tick t0) const
 {
-    const BankRecord& b = bank(a);
-    if (!b.open())
+    if (!bank(a).open())
         return kTickMax;
-    Tick t = t0;
-    if (b.lastAct != kTickInvalid)
-        t = maxTick(t, b.lastAct + t_.tRAS);
-    if (b.lastCas != kTickInvalid) {
-        if (b.lastCasWasWrite)
-            t = maxTick(t, b.lastCas + t_.tWR);
-        else
-            t = maxTick(t, b.lastCas + t_.tRTP);
+    return pcs_[static_cast<std::size_t>(a.pc)].rowBus.nextFree(
+        preFloor(a, t0));
+}
+
+Tick
+ChannelDevice::casChainFloor(const PcRecord& pc, const DramAddress& a,
+                             bool is_write, Tick t) const
+{
+    if (pc.lastCas == kTickInvalid)
+        return t;
+    // CAS-to-CAS spacing on the shared PC data path.
+    Tick gap = t_.tCCDS;
+    if (pc.lastCasSid != a.sid)
+        gap = t_.tCCDR;
+    else if (pc.lastCasBg == a.bg)
+        gap = t_.tCCDL;
+    t = maxTick(t, pc.lastCas + gap);
+    // Bus-direction turnarounds (command-level).
+    if (!pc.lastCasWasWrite && is_write)
+        t = maxTick(t, pc.lastCas + t_.tRTW);
+    if (pc.lastCasWasWrite && !is_write) {
+        const Tick wtr = (pc.lastCasBg == a.bg) ? t_.tWTRL : t_.tWTRS;
+        t = maxTick(t, pc.lastCas + wtr);
     }
-    return pcs_[static_cast<std::size_t>(a.pc)].rowBus.nextFree(t);
+    return t;
 }
 
 Tick
@@ -125,69 +140,34 @@ ChannelDevice::earliestCas(const DramAddress& a, bool is_write, Tick t0) const
     Tick t = t0;
     if (b.lastAct != kTickInvalid)
         t = maxTick(t, b.lastAct + (is_write ? t_.tRCDWR : t_.tRCDRD));
-    if (pc.lastCas != kTickInvalid) {
-        // CAS-to-CAS spacing on the shared PC data path.
-        Tick gap = t_.tCCDS;
-        if (pc.lastCasSid != a.sid)
-            gap = t_.tCCDR;
-        else if (pc.lastCasBg == a.bg)
-            gap = t_.tCCDL;
-        t = maxTick(t, pc.lastCas + gap);
-        // Bus-direction turnarounds (command-level).
-        if (!pc.lastCasWasWrite && is_write)
-            t = maxTick(t, pc.lastCas + t_.tRTW);
-        if (pc.lastCasWasWrite && !is_write) {
-            const Tick wtr = (pc.lastCasBg == a.bg) ? t_.tWTRL : t_.tWTRS;
-            t = maxTick(t, pc.lastCas + wtr);
-        }
-    }
-    return pc.colBus.nextFree(t);
+    return pc.colBus.nextFree(casChainFloor(pc, a, is_write, t));
 }
 
-Tick
+inline Tick
 ChannelDevice::earliestRefPb(const DramAddress& a, Tick t0) const
 {
-    const BankRecord& b = bank(a);
-    if (b.open())
+    if (bank(a).open())
         return kTickMax; // REFpb requires a precharged bank
-    const SidRecord& s = sidRec(a.pc, a.sid);
-
-    Tick t = t0;
-    if (b.lastPre != kTickInvalid)
-        t = maxTick(t, b.lastPre + t_.tRP);
-    if (b.refUntil != kTickInvalid)
-        t = maxTick(t, b.refUntil);
-    if (s.refAbUntil != kTickInvalid)
-        t = maxTick(t, s.refAbUntil);
-    if (s.lastRefPb != kTickInvalid)
-        t = maxTick(t, s.lastRefPb + t_.tRREFD);
-    return pcs_[static_cast<std::size_t>(a.pc)].rowBus.nextFree(t);
+    return pcs_[static_cast<std::size_t>(a.pc)].rowBus.nextFree(
+        refPbFloor(a, t0));
 }
 
 Tick
 ChannelDevice::earliestRefAb(const DramAddress& a, Tick t0) const
 {
-    // Every bank in the (PC, SID) must be idle.
+    // Every bank in the (PC, SID) must be idle; each bank's REFpb floor
+    // covers its own precharge and refresh windows plus the (PC, SID)'s.
     Tick t = t0;
     for (int bg = 0; bg < org_.bankGroupsPerSid; ++bg) {
         for (int ba = 0; ba < org_.banksPerGroup; ++ba) {
             DramAddress ba_addr = a;
             ba_addr.bg = bg;
             ba_addr.bank = ba;
-            const BankRecord& b = bank(ba_addr);
-            if (b.open())
+            if (bank(ba_addr).open())
                 return kTickMax;
-            if (b.lastPre != kTickInvalid)
-                t = maxTick(t, b.lastPre + t_.tRP);
-            if (b.refUntil != kTickInvalid)
-                t = maxTick(t, b.refUntil);
+            t = refPbFloor(ba_addr, t);
         }
     }
-    const SidRecord& s = sidRec(a.pc, a.sid);
-    if (s.refAbUntil != kTickInvalid)
-        t = maxTick(t, s.refAbUntil);
-    if (s.lastRefPb != kTickInvalid)
-        t = maxTick(t, s.lastRefPb + t_.tRREFD);
     return pcs_[static_cast<std::size_t>(a.pc)].rowBus.nextFree(t);
 }
 
@@ -233,17 +213,83 @@ ChannelDevice::issue(const Command& cmd, Tick when)
                            static_cast<long long>(earliest / kTicksPerNs))
                         .c_str());
     }
-    return commit(cmd, when);
+    apply(cmd, when);
+    const IssueResult res = resultOf(cmd.kind, when);
+    if (trace_)
+        trace_(when, cmd, res);
+    return res;
 }
 
 ChannelDevice::IssueResult
-ChannelDevice::commit(const Command& cmd, Tick when)
+ChannelDevice::resultOf(CmdKind kind, Tick when) const
+{
+    IssueResult res;
+    switch (kind) {
+      case CmdKind::Act:
+        res.bankReadyAt = when + std::min(t_.tRCDRD, t_.tRCDWR);
+        break;
+      case CmdKind::Pre:
+        res.bankReadyAt = when + t_.tRP;
+        break;
+      case CmdKind::Rd:
+      case CmdKind::Wr:
+        res.dataFrom = when + (kind == CmdKind::Wr ? t_.tWL : t_.tCL);
+        res.dataUntil = res.dataFrom + t_.tBURST;
+        res.bankReadyAt = res.dataUntil;
+        break;
+      case CmdKind::RefPb:
+        res.bankReadyAt = when + t_.tRFCpb;
+        break;
+      case CmdKind::RefAb:
+        res.bankReadyAt = when + t_.tRFCab;
+        break;
+      default:
+        panic("unknown command kind");
+    }
+    return res;
+}
+
+inline void
+ChannelDevice::noteCas(const DramAddress& a, bool is_write, Tick when)
+{
+    BankRecord& b = bank(a);
+    PcRecord& pc = pcs_[static_cast<std::size_t>(a.pc)];
+    const Tick data_until =
+        resultOf(is_write ? CmdKind::Wr : CmdKind::Rd, when).dataUntil;
+    b.lastCas = when;
+    b.lastCasWasWrite = is_write;
+    pc.lastCas = when;
+    pc.lastCasSid = a.sid;
+    pc.lastCasBg = a.bg;
+    pc.lastCasWasWrite = is_write;
+    if (is_write)
+        pc.lastWrDataEnd = data_until;
+    pc.busBusyUntil = data_until;
+    lastDataEnd_ = maxTick(lastDataEnd_, data_until);
+}
+
+inline void
+ChannelDevice::countCas(bool is_write, std::uint64_t n)
+{
+    (is_write ? counters_.writes : counters_.reads).inc(n);
+    counters_.colCmds.inc(n);
+    counters_.dataBusBusyTicks.inc(n * static_cast<std::uint64_t>(t_.tBURST));
+    counters_.dataBytes.inc(n * org_.columnBytes);
+}
+
+inline void
+ChannelDevice::apply(const Command& cmd, Tick when)
 {
     BankRecord& b = bank(cmd.addr);
-    SidRecord& s = sidRec(cmd.addr.pc, cmd.addr.sid);
     PcRecord& pc = pcs_[static_cast<std::size_t>(cmd.addr.pc)];
-    IssueResult res;
+    if (isColCmd(cmd.kind)) {
+        noteCas(cmd.addr, cmd.kind == CmdKind::Wr, when);
+        pc.colBus.reserve(when);
+        countCas(cmd.kind == CmdKind::Wr, 1);
+        return;
+    }
 
+    SidRecord& s = sidRec(cmd.addr.pc, cmd.addr.sid);
     switch (cmd.kind) {
       case CmdKind::Act:
         b.lastAct = when;
@@ -252,60 +298,22 @@ ChannelDevice::commit(const Command& cmd, Tick when)
         s.lastAct = when;
         s.actWindow[s.actWindowHead] = when;
         s.actWindowHead = (s.actWindowHead + 1) % s.actWindow.size();
-        pc.rowBus.reserve(when);
         counters_.acts.inc();
-        counters_.rowCmds.inc();
-        res.bankReadyAt = when + std::min(t_.tRCDRD, t_.tRCDWR);
         break;
 
       case CmdKind::Pre:
         b.lastPre = when;
         b.openRow = -1;
-        pc.rowBus.reserve(when);
         counters_.pres.inc();
-        counters_.rowCmds.inc();
-        res.bankReadyAt = when + t_.tRP;
         break;
-
-      case CmdKind::Rd:
-      case CmdKind::Wr: {
-        const bool is_write = cmd.kind == CmdKind::Wr;
-        b.lastCas = when;
-        b.lastCasWasWrite = is_write;
-        pc.lastCas = when;
-        pc.lastCasSid = cmd.addr.sid;
-        pc.lastCasBg = cmd.addr.bg;
-        pc.lastCasWasWrite = is_write;
-        const Tick data_from = when + (is_write ? t_.tWL : t_.tCL);
-        const Tick data_until = data_from + t_.tBURST;
-        if (is_write) {
-            pc.lastWrDataEnd = data_until;
-            counters_.writes.inc();
-        } else {
-            counters_.reads.inc();
-        }
-        pc.busBusyUntil = data_until;
-        lastDataEnd_ = maxTick(lastDataEnd_, data_until);
-        pc.colBus.reserve(when);
-        counters_.colCmds.inc();
-        counters_.dataBusBusyTicks.inc(static_cast<std::uint64_t>(t_.tBURST));
-        counters_.dataBytes.inc(org_.columnBytes);
-        res.dataFrom = data_from;
-        res.dataUntil = data_until;
-        res.bankReadyAt = data_until;
-        break;
-      }
 
       case CmdKind::RefPb:
         b.refUntil = when + t_.tRFCpb;
         s.lastRefPb = when;
-        pc.rowBus.reserve(when);
         counters_.refPbs.inc();
-        counters_.rowCmds.inc();
-        res.bankReadyAt = b.refUntil;
         break;
 
-      case CmdKind::RefAb: {
+      case CmdKind::RefAb:
         for (int bg = 0; bg < org_.bankGroupsPerSid; ++bg) {
             for (int ba = 0; ba < org_.banksPerGroup; ++ba) {
                 DramAddress a = cmd.addr;
@@ -315,20 +323,14 @@ ChannelDevice::commit(const Command& cmd, Tick when)
             }
         }
         s.refAbUntil = when + t_.tRFCab;
-        pc.rowBus.reserve(when);
         counters_.refAbs.inc();
-        counters_.rowCmds.inc();
-        res.bankReadyAt = when + t_.tRFCab;
         break;
-      }
 
       default:
         panic("unknown command kind");
     }
-
-    if (trace_)
-        trace_(when, cmd, res);
-    return res;
+    pc.rowBus.reserve(when);
+    counters_.rowCmds.inc();
 }
 
 namespace
@@ -354,91 +356,52 @@ Tick
 ChannelDevice::earliestSequence(const CmdTemplate& tpl,
                                 const SequenceBinding& bind, Tick t0) const
 {
-    // Walk the template in issue order, validating only the constraints
-    // that can involve pre-existing state (see the header comment). The
-    // per-PC counters track how many template commands of each class were
-    // already placed: later commands of a class interact only with the
-    // template's own commands, whose spacing holds by construction.
+    // Probe, in issue order, each command whose legality can involve
+    // pre-existing state (see the header comment) with the per-command
+    // rules, asking for exactly t0 + offset. Commands of one class are
+    // nondecreasing per PC, so a rule a template command passes against
+    // the last committed command (tRRDS, tRREFD) also holds for the
+    // template's later commands of that class.
     constexpr std::size_t kMaxPcs = 4;
     if (static_cast<std::size_t>(org_.pcsPerChannel) > kMaxPcs)
         panic("sequence probe supports at most %zu PCs", kMaxPcs);
     std::array<std::uint8_t, kMaxPcs> n_act{};
-    std::array<std::uint8_t, kMaxPcs> n_ref{};
 
     for (const std::uint32_t idx : tpl.probeIdx) {
         const TemplateCmd& e = tpl.cmds[idx];
-        const auto pi = static_cast<std::size_t>(e.pc);
+        const PcRecord& pc = pcs_[static_cast<std::size_t>(e.pc)];
         const Tick at = t0 + e.offset;
         const DramAddress a = templateAddr(e, bind);
-        const BankRecord& bk = bank(a);
-        const SidRecord& s = sidRec(a.pc, a.sid);
-        const PcRecord& pc = pcs_[pi];
 
         switch (e.kind) {
           case CmdKind::Act: {
-            if (bk.open())
+            if (earliestAct(a, at) != at)
                 return kTickMax;
-            if (bk.lastPre != kTickInvalid && bk.lastPre + t_.tRP > at)
-                return kTickMax;
-            if (bk.lastAct != kTickInvalid && bk.lastAct + t_.tRC > at)
-                return kTickMax;
-            if (bk.refUntil != kTickInvalid && bk.refUntil > at)
-                return kTickMax;
-            if (s.refAbUntil != kTickInvalid && s.refAbUntil > at)
-                return kTickMax;
-            const Tick bg_last =
-                s.lastActPerBg[static_cast<std::size_t>(a.bg)];
-            if (bg_last != kTickInvalid && bg_last + t_.tRRDL > at)
-                return kTickMax;
-            if (n_act[pi] == 0 && s.lastAct != kTickInvalid &&
-                s.lastAct + t_.tRRDS > at) {
-                return kTickMax;
-            }
             // tFAW mixes pre-existing and template ACTs: with k template
             // ACTs already placed, the fourth-most-recent ACT before this
-            // one is the k-th oldest pre-existing window entry.
-            const std::size_t k = n_act[pi];
-            if (k < s.actWindow.size()) {
+            // one is the k-th oldest pre-existing window entry (k = 0 is
+            // earliestAct's own check).
+            const SidRecord& s = sidRec(a.pc, a.sid);
+            const std::size_t k = n_act[static_cast<std::size_t>(e.pc)]++;
+            if (k > 0 && k < s.actWindow.size()) {
                 const Tick w =
                     s.actWindow[(s.actWindowHead + k) % s.actWindow.size()];
                 if (w != kTickInvalid && w + t_.tFAW > at)
                     return kTickMax;
             }
-            if (pc.rowBus.nextFree(at) != at)
-                return kTickMax;
-            ++n_act[pi];
             break;
           }
 
           case CmdKind::Rd:
-          case CmdKind::Wr: {
-            if (pc.lastCas != kTickInvalid) {
-                Tick gap = t_.tCCDS;
-                if (pc.lastCasSid != a.sid)
-                    gap = t_.tCCDR;
-                else if (pc.lastCasBg == a.bg)
-                    gap = t_.tCCDL;
-                if (pc.lastCas + gap > at)
-                    return kTickMax;
-                const bool is_write = e.kind == CmdKind::Wr;
-                if (!pc.lastCasWasWrite && is_write &&
-                    pc.lastCas + t_.tRTW > at) {
-                    return kTickMax;
-                }
-                if (pc.lastCasWasWrite && !is_write) {
-                    const Tick wtr =
-                        (pc.lastCasBg == a.bg) ? t_.tWTRL : t_.tWTRS;
-                    if (pc.lastCas + wtr > at)
-                        return kTickMax;
-                }
-            }
-            // One range probe covers the whole fixed-cadence CAS stream.
-            if (!pc.colBus.rangeFree(t0 + tpl.casFirstOffset,
+          case CmdKind::Wr:
+            // The first CAS per PC meets the PC's CAS chain; one range
+            // probe covers the whole fixed-cadence column stream.
+            if (casChainFloor(pc, a, e.kind == CmdKind::Wr, at) != at ||
+                !pc.colBus.rangeFree(t0 + tpl.casFirstOffset,
                                      t0 + tpl.casLastOffset + kCmdSlot)) {
                 return kTickMax;
             }
             break;
-          }
 
           case CmdKind::Pre:
             // tRAS and CAS recovery involve only the template's own ACT
@@ -448,23 +411,10 @@ ChannelDevice::earliestSequence(const CmdTemplate& tpl,
                 return kTickMax;
             break;
 
-          case CmdKind::RefPb: {
-            if (bk.open())
-                return kTickMax;
-            if (bk.lastPre != kTickInvalid && bk.lastPre + t_.tRP > at)
-                return kTickMax;
-            if (bk.refUntil != kTickInvalid && bk.refUntil > at)
-                return kTickMax;
-            if (s.refAbUntil != kTickInvalid && s.refAbUntil > at)
-                return kTickMax;
-            if (n_ref[pi]++ == 0 && s.lastRefPb != kTickInvalid &&
-                s.lastRefPb + t_.tRREFD > at) {
-                return kTickMax;
-            }
-            if (pc.rowBus.nextFree(at) != at)
+          case CmdKind::RefPb:
+            if (earliestRefPb(a, at) != at)
                 return kTickMax;
             break;
-          }
 
           default:
             return kTickMax; // no template form for this command kind
@@ -478,132 +428,52 @@ ChannelDevice::issueSequence(const CmdTemplate& tpl,
                              const SequenceBinding& bind, Tick t0)
 {
 #ifndef NDEBUG
-    // Debug builds re-validate and commit per command — the exact scalar
-    // transition sequence, including trace callbacks.
-    for (const TemplateCmd& e : tpl.cmds) {
-        const Tick at = t0 + e.offset;
-        const Command cmd{e.kind, templateAddr(e, bind)};
-        checkAddress(org_, cmd.addr);
-        const Tick earliest = earliestIssue(cmd, at);
-        if (earliest != at) {
-            panic("template %s not issueable at its fixed offset "
-                  "(%lld ns, earliest %lld ns)",
-                  cmd.str().c_str(),
-                  static_cast<long long>(at / kTicksPerNs),
-                  static_cast<long long>(earliest / kTicksPerNs));
-        }
-        commit(cmd, at);
-    }
-    return;
+    // Debug builds re-validate every command: issue() panics on any
+    // command the template cannot place at its fixed offset.
+    for (const TemplateCmd& e : tpl.cmds)
+        issue({e.kind, templateAddr(e, bind)}, t0 + e.offset);
 #else
-    if (trace_) {
-        // A trace consumer observes every command: replay them through
-        // the per-command committer.
-        for (const TemplateCmd& e : tpl.cmds)
-            commit({e.kind, templateAddr(e, bind)}, t0 + e.offset);
-        return;
-    }
-
-    // Bulk path: row commands update their bank/SID records individually
-    // (few per template); the column stream reserves its bus slots per
-    // command but folds its record updates and counters into one
-    // aggregate application — the end state is identical to the
-    // per-command path because later CAS writes simply overwrite earlier
-    // ones and counters commute.
-    std::uint64_t n_act = 0;
-    std::uint64_t n_pre = 0;
-    std::uint64_t n_ref = 0;
+    // Row commands (few per template) go through the per-command apply
+    // step. The column stream reserves its bus slots at the fixed
+    // cadence but applies only the last CAS per bank slot to the records
+    // and its counters in one batch: later CAS records overwrite earlier
+    // ones and counters commute, so the end state is the per-command one.
     for (const std::uint32_t idx : tpl.rowIdx) {
         const TemplateCmd& e = tpl.cmds[idx];
-        const Tick at = t0 + e.offset;
-        PcRecord& pc = pcs_[static_cast<std::size_t>(e.pc)];
-        const DramAddress a = templateAddr(e, bind);
-        BankRecord& b = bank(a);
-        switch (e.kind) {
-          case CmdKind::Act: {
-            SidRecord& s = sidRec(a.pc, a.sid);
-            b.lastAct = at;
-            b.openRow = a.row;
-            s.lastActPerBg[static_cast<std::size_t>(a.bg)] = at;
-            s.lastAct = at;
-            s.actWindow[s.actWindowHead] = at;
-            s.actWindowHead = (s.actWindowHead + 1) % s.actWindow.size();
-            pc.rowBus.reserve(at);
-            ++n_act;
-            break;
-          }
-          case CmdKind::Pre:
-            b.lastPre = at;
-            b.openRow = -1;
-            pc.rowBus.reserve(at);
-            ++n_pre;
-            break;
-          case CmdKind::RefPb: {
-            SidRecord& s = sidRec(a.pc, a.sid);
-            b.refUntil = at + t_.tRFCpb;
-            s.lastRefPb = at;
-            pc.rowBus.reserve(at);
-            ++n_ref;
-            break;
-          }
-          default:
-            panic("template %s has no bulk committer",
-                  std::string(cmdName(e.kind)).c_str());
-        }
+        apply({e.kind, templateAddr(e, bind)}, t0 + e.offset);
     }
-    counters_.acts.inc(n_act);
-    counters_.pres.inc(n_pre);
-    counters_.refPbs.inc(n_ref);
-    counters_.rowCmds.inc(n_act + n_pre + n_ref);
-
     if (tpl.casPerPc > 0) {
-        const auto cas_per_pc = static_cast<std::uint64_t>(tpl.casPerPc);
-        const auto n_pcs = static_cast<std::uint64_t>(tpl.pcCount);
-        // The column stream's bus slots march at the fixed cadence; every
-        // PC sees the same offsets.
         for (int p = 0; p < tpl.pcCount; ++p) {
             SlotCalendar& bus = pcs_[static_cast<std::size_t>(p)].colBus;
             Tick at = t0 + tpl.casFirstOffset;
             for (int i = 0; i < tpl.casPerPc; ++i, at += tpl.casCadence)
                 bus.reserve(at);
-        }
-        const Tick last_cas = t0 + tpl.casLastOffset;
-        const Tick data_until =
-            last_cas + (tpl.casIsWrite ? t_.tWL : t_.tCL) + t_.tBURST;
-        for (int p = 0; p < tpl.pcCount; ++p) {
-            PcRecord& pc = pcs_[static_cast<std::size_t>(p)];
-            pc.lastCas = last_cas;
-            pc.lastCasSid = bind.sid;
-            pc.lastCasBg =
-                bind.banks[static_cast<std::size_t>(tpl.lastCasSlot)].first;
-            pc.lastCasWasWrite = tpl.casIsWrite;
-            if (tpl.casIsWrite)
-                pc.lastWrDataEnd = data_until;
-            pc.busBusyUntil = data_until;
-            for (int slot = 0; slot < bind.numBanks; ++slot) {
-                const Tick off =
-                    tpl.lastCasOffsetPerSlot[static_cast<std::size_t>(slot)];
-                if (off == kTickInvalid)
-                    continue;
+            const auto note = [&](std::int16_t slot, Tick off) {
                 DramAddress a;
                 a.pc = p;
                 a.sid = bind.sid;
                 a.bg = bind.banks[static_cast<std::size_t>(slot)].first;
                 a.bank = bind.banks[static_cast<std::size_t>(slot)].second;
-                BankRecord& b = bank(a);
-                b.lastCas = t0 + off;
-                b.lastCasWasWrite = tpl.casIsWrite;
+                noteCas(a, tpl.casIsWrite, t0 + off);
+            };
+            for (std::int16_t slot = 0; slot < bind.numBanks; ++slot) {
+                const Tick off =
+                    tpl.lastCasOffsetPerSlot[static_cast<std::size_t>(slot)];
+                if (off != kTickInvalid && slot != tpl.lastCasSlot)
+                    note(slot, off);
             }
+            // The template's last CAS goes last, so its PC record wins.
+            note(tpl.lastCasSlot, tpl.casLastOffset);
         }
-        lastDataEnd_ = maxTick(lastDataEnd_, data_until);
-        if (tpl.casIsWrite)
-            counters_.writes.inc(cas_per_pc * n_pcs);
-        else
-            counters_.reads.inc(cas_per_pc * n_pcs);
-        counters_.colCmds.inc(cas_per_pc * n_pcs);
-        counters_.dataBusBusyTicks.inc(
-            cas_per_pc * n_pcs * static_cast<std::uint64_t>(t_.tBURST));
-        counters_.dataBytes.inc(cas_per_pc * n_pcs * org_.columnBytes);
+        countCas(tpl.casIsWrite, static_cast<std::uint64_t>(tpl.casPerPc) *
+                                     static_cast<std::uint64_t>(tpl.pcCount));
+    }
+    // Trace consumers see exactly the per-command callback sequence.
+    if (trace_) {
+        for (const TemplateCmd& e : tpl.cmds) {
+            const Tick at = t0 + e.offset;
+            trace_(at, {e.kind, templateAddr(e, bind)}, resultOf(e.kind, at));
+        }
     }
 #endif
 }

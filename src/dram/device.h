@@ -4,9 +4,12 @@
  *
  * The device is passive: a memory controller (or the RoMe command generator)
  * asks when a command may issue (earliestIssue) and then commits it (issue).
- * Every commit is re-validated against the full conventional timing rule set
- * — including commands produced by the RoMe command generator, which is how
- * the tests prove the generator's fixed sequences are timing-legal.
+ * Every issue() is re-validated against the full conventional timing rule
+ * set. The RoMe command generator's fixed-interval templates are admitted by
+ * earliestSequence, which asks the same per-command rule functions, and
+ * committed by issueSequence through the same state-transition code (debug
+ * builds re-validate each template command through issue() as well). Each
+ * timing rule and each state transition is stated once.
  *
  * Modeled constraints:
  *  - bank core timings: tRC, tRAS, tRP, tRCDRD/WR, tRTP, write recovery
@@ -170,14 +173,16 @@ class ChannelDevice
      * (callers fall back to scalar per-command lowering, which stretches
      * minimally instead).
      *
-     * The probe validates only the constraints that involve pre-existing
-     * device state (per-bank floors, tRRD/tFAW/CAS-chain interaction with
-     * the last committed commands, refresh windows, and the row/column
-     * command-bus slot calendars); intra-template constraints hold by
-     * construction, since the template was recorded from a validated
-     * scalar run. The tFAW window — the one rule mixing pre-existing and
-     * template commands by order statistics — is checked against the k-th
-     * oldest entry of the ACT ring for the k-th template ACT.
+     * The probe asks the per-command rules (earliestAct, earliestRefPb,
+     * the CAS-chain part of earliestCas) whether each command that can
+     * interact with pre-existing device state lands on its offset;
+     * intra-template constraints hold by construction, since the
+     * template was recorded from a validated scalar run. It adds only
+     * what is specific to a template: the tFAW window — the one rule
+     * mixing pre-existing and template commands by order statistics — is
+     * checked against the k-th oldest entry of the ACT ring for the k-th
+     * template ACT, one rangeFree probe covers the whole column stream,
+     * and PREs check only their row-bus slot.
      */
     Tick earliestSequence(const CmdTemplate& tpl, const SequenceBinding& b,
                           Tick t0) const;
@@ -186,8 +191,11 @@ class ChannelDevice
      * Commit every command of @p tpl at t0 + offset in one pass, with the
      * identical state transitions, counters, and trace callbacks the
      * scalar per-command path would produce — but without re-validating
-     * each command (debug builds still assert legality). Only call after
-     * earliestSequence(tpl, b, t0) returned t0.
+     * each command (debug builds still do). Row commands go through the
+     * per-command apply step; the column stream's records and counters
+     * are applied once. An installed trace sees every command, in
+     * template order, with the IssueResult issue() would have returned.
+     * Only call after earliestSequence(tpl, b, t0) returned t0.
      */
     void issueSequence(const CmdTemplate& tpl, const SequenceBinding& b,
                        Tick t0);
@@ -492,8 +500,20 @@ class ChannelDevice
     Tick earliestRefPb(const DramAddress& a, Tick t0) const;
     Tick earliestRefAb(const DramAddress& a, Tick t0) const;
 
-    /** State-transition body of issue() (no validation). */
-    IssueResult commit(const Command& cmd, Tick when);
+    /** CAS-to-CAS gap (by SID/BG) and tRTW / tWTRS/L after @p pc's last
+     *  CAS, for a RD/WR to @p a at or after @p t. */
+    Tick casChainFloor(const PcRecord& pc, const DramAddress& a,
+                       bool is_write, Tick t) const;
+
+    /** State and counter transition of @p cmd (no validation, no trace). */
+    void apply(const Command& cmd, Tick when);
+    /** What committing @p kind at @p when reports; depends on nothing
+     *  else. */
+    IssueResult resultOf(CmdKind kind, Tick when) const;
+    /** Bank, PC and data-end records a RD/WR at @p when leaves behind. */
+    void noteCas(const DramAddress& a, bool is_write, Tick when);
+    /** Counters of @p n RD/WR commands. */
+    void countCas(bool is_write, std::uint64_t n);
 
     Organization org_;
     TimingParams t_;

@@ -385,27 +385,38 @@ ConventionalMc::applySpare(const SpareEvent& ev)
         rewrite(r.op);
 }
 
-Tick
+ConventionalMc::IdleWake
 ConventionalMc::idleWakeTick(Tick adaptive_next) const
 {
-    // Nothing schedulable: jump to the next arrival, queue-entry release,
-    // refresh due time, or the caller-provided adaptive-timeout expiry.
-    Tick next = adaptive_next;
+    // Nothing schedulable: jump to the next retry, arrival or queue-entry
+    // release, refresh due time, or the caller-provided adaptive-timeout
+    // expiry. Terms are offered in that order and only a strictly
+    // earlier one takes over, so ties go to the earlier term.
+    IdleWake wake;
+    const auto offer = [&wake](Tick at, StallCause cause) {
+        if (at < wake.at)
+            wake = {at, cause};
+    };
+    if (nextRetryAt_ != kTickMax)
+        offer(std::max(nextRetryAt_, now_ + 1), StallCause::RetryBackoff);
     if (!host_.empty()) {
         Tick admit_at = std::max(host_.front().arrival, now_ + 1);
         Tick first_free = std::min(readOutstanding_.firstFreeAfter(now_),
                                    writeOutstanding_.firstFreeAfter(now_));
         if (first_free != kTickMax)
             admit_at = std::min(admit_at, std::max(now_ + 1, first_free));
-        next = std::min(next, admit_at);
+        // Front request not yet arrived = truly idle; arrived but
+        // unadmittable = the queues/CAM are the bottleneck.
+        offer(admit_at, host_.front().arrival > now_ ? StallCause::NoRequest
+                                                     : StallCause::BankBusy);
     }
     for (const auto& u : refreshUnits_) {
         if (pendingRefreshCount(u) == 0)
-            next = std::min(next, u.rot.due);
+            offer(u.rot.due, StallCause::Refresh);
     }
-    if (nextRetryAt_ != kTickMax)
-        next = std::min(next, std::max(nextRetryAt_, now_ + 1));
-    return next;
+    // Adaptive-timeout expiry counts as NoRequest.
+    offer(adaptive_next, StallCause::NoRequest);
+    return wake;
 }
 
 bool
@@ -925,55 +936,21 @@ ConventionalMc::stepOnceIndexed(Tick until)
                                            cfg_.adaptiveIdleTimeout));
             }
         }
-        const Tick next = idleWakeTick(adaptive_next);
-        if (next == kTickMax || next > until) {
+        const IdleWake wake = idleWakeTick(adaptive_next);
+        if (wake.at == kTickMax || wake.at > until) {
             // Nothing can happen before the bound: now_ stays on its last
             // event tick so decisions never depend on where time sliced.
             return false;
         }
-        if (telemetryOn() && next > now_) {
-            // Attribute the idle jump to whichever wake term produced
-            // `next`, matched in idleWakeTick's own evaluation order.
-            StallCause cause = StallCause::NoRequest;
-            bool matched = false;
-            if (writeCount_ > 0 && !drainingWrites_ && readCount_ == 0) {
-                cause = StallCause::WriteDrain;
-                matched = true;
-            }
-            if (!matched && nextRetryAt_ != kTickMax &&
-                std::max(nextRetryAt_, now_ + 1) == next) {
-                cause = StallCause::RetryBackoff;
-                matched = true;
-            }
-            if (!matched && !host_.empty()) {
-                Tick admit_at = std::max(host_.front().arrival, now_ + 1);
-                const Tick first_free =
-                    std::min(readOutstanding_.firstFreeAfter(now_),
-                             writeOutstanding_.firstFreeAfter(now_));
-                if (first_free != kTickMax)
-                    admit_at = std::min(admit_at,
-                                        std::max(now_ + 1, first_free));
-                if (admit_at == next) {
-                    // Front request not yet arrived = truly idle; arrived
-                    // but unadmittable = the queues/CAM are the bottleneck.
-                    cause = host_.front().arrival > now_
-                                ? StallCause::NoRequest
-                                : StallCause::BankBusy;
-                    matched = true;
-                }
-            }
-            if (!matched) {
-                for (const auto& u : refreshUnits_) {
-                    if (pendingRefreshCount(u) == 0 && u.rot.due == next) {
-                        cause = StallCause::Refresh;
-                        break;
-                    }
-                }
-                // Adaptive-timeout expiry falls through as NoRequest.
-            }
-            chargeStall(cause, now_, next);
+        if (telemetryOn() && wake.at > now_) {
+            // Pending writes parked below the drain bar outrank the wake
+            // term's own cause.
+            const bool parked =
+                writeCount_ > 0 && !drainingWrites_ && readCount_ == 0;
+            chargeStall(parked ? StallCause::WriteDrain : wake.cause, now_,
+                        wake.at);
         }
-        now_ = next;
+        now_ = wake.at;
         return true;
     }
 
@@ -1228,7 +1205,7 @@ ConventionalMc::stepOnceLegacy(Tick until)
                 }
             }
         }
-        const Tick next = idleWakeTick(adaptive_next);
+        const Tick next = idleWakeTick(adaptive_next).at;
         if (next == kTickMax || next > until) {
             // now_ stays on its last event tick (slice invariance).
             return false;

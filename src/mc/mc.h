@@ -301,7 +301,14 @@ class ConventionalMc : public ChannelControllerBase
     void completeOp(const Op& op, Tick data_end);
     int pendingRefreshCount(const RefreshUnit& u) const;
     bool refreshBlocked(const DramAddress& a) const;
-    Tick idleWakeTick(Tick adaptive_next) const;
+    /** When an idle controller next wakes, and the stall that wake term
+     *  stands for. */
+    struct IdleWake
+    {
+        Tick at = kTickMax;
+        StallCause cause = StallCause::NoRequest;
+    };
+    IdleWake idleWakeTick(Tick adaptive_next) const;
 
     // ---- reliability (ECC classify / retry / scrub / sparing) -----------
     /**

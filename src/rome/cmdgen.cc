@@ -141,19 +141,26 @@ CommandGenerator::issueAll(ChannelDevice& dev, const VbaPlan& plan,
     return last;
 }
 
+SequenceBinding
+CommandGenerator::sequenceBinding(const VbaAddress& a) const
+{
+    const VbaPlan& plan = map_.planRef(a);
+    SequenceBinding b;
+    b.sid = a.sid;
+    b.row = a.row;
+    b.numBanks = static_cast<int>(plan.banks.size());
+    for (std::size_t i = 0; i < plan.banks.size(); ++i)
+        b.banks[i] = plan.banks[i];
+    return b;
+}
+
 CommandGenerator::RowOpResult
 CommandGenerator::execute(const RowCommand& cmd, Tick not_before)
 {
     ++rowCmds_;
     if (templatesEnabled_) {
         const OpTemplate& t = templates_[static_cast<std::size_t>(cmd.kind)];
-        const VbaPlan& plan = map_.planRef(cmd.addr);
-        SequenceBinding b;
-        b.sid = cmd.addr.sid;
-        b.row = cmd.addr.row;
-        b.numBanks = static_cast<int>(plan.banks.size());
-        for (std::size_t i = 0; i < plan.banks.size(); ++i)
-            b.banks[i] = plan.banks[i];
+        const SequenceBinding b = sequenceBinding(cmd.addr);
         if (dev_.earliestSequence(t.seq, b, not_before) == not_before) {
             dev_.issueSequence(t.seq, b, not_before);
             ++templateHits_;

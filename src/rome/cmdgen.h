@@ -24,11 +24,14 @@
  * construction the generator records one scalar lowering of each op kind
  * on a scratch device into a CmdTemplate — a flat array of
  * (kind, PC, bank slot, column, tick offset) entries — and caches the
- * per-VBA lowering plans. execute() then asks the device to validate the
- * whole template against its floors and bus calendars in one pass
- * (ChannelDevice::earliestSequence) and, when it fits, commits every slot
- * in one pass (issueSequence) without per-command probing or any heap
- * allocation. Whenever the steady-state check fails — back-to-back ops on
+ * per-VBA lowering plans. execute() then asks the device whether the whole
+ * template lands on its offsets in one pass (ChannelDevice::earliestSequence,
+ * which asks the same per-command rule functions as earliestIssue) and,
+ * when it fits, commits every slot in one pass (issueSequence, through the
+ * same state-transition code as issue) without per-command probing or any
+ * heap allocation. A device trace sees the bulk-committed commands exactly
+ * as the per-command path would report them. Whenever the steady-state
+ * check fails — back-to-back ops on
  * the same VBA, refresh collisions, command-bus slot collisions, cold or
  * busy banks — the generator falls back to the scalar per-command path,
  * so results are bit-identical to pre-template lowering (asserted across
@@ -111,6 +114,19 @@ class CommandGenerator
 
     /** True when the template fast path is enabled. */
     bool templateLowering() const { return templatesEnabled_; }
+
+    /**
+     * The fixed-offset sequence @p kind lowers to in steady state
+     * (recorded only when templateLowering()).
+     */
+    const CmdTemplate&
+    sequenceTemplate(RowCmdKind kind) const
+    {
+        return templates_[static_cast<std::size_t>(kind)].seq;
+    }
+
+    /** Binding of any template to the banks of the VBA at @p a. */
+    SequenceBinding sequenceBinding(const VbaAddress& a) const;
 
     /** Operations lowered via the one-pass template fast path. */
     std::uint64_t templateHits() const { return templateHits_; }

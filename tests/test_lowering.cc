@@ -7,13 +7,19 @@
  * point, both MC drive paths (indexed and legacy schedulers), and all
  * address-map orders. Forced-fallback scenarios (back-to-back same VBA,
  * REF-adjacent ops, stretch-the-schedule requests from the cmdgen header
- * comment) must take the scalar path and still agree.
+ * comment) must take the scalar path and still agree. At the device level,
+ * every template the bulk probe accepts from a random state must leave the
+ * same device state and trace as a command-by-command replay.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
 #include <vector>
 
+#include "common/checkpoint.h"
+#include "common/random.h"
 #include "dram/hbm4_config.h"
 #include "rome/cmdgen.h"
 #include "rome/rome_mc.h"
@@ -221,8 +227,7 @@ TEST(LoweringParity, StretchedScheduleAgrees)
 // ---------------------------------------------------------------------------
 // Controller-level parity: template vs scalar lowering must produce
 // bit-identical ControllerStats through both RoMe MC drive paths. These
-// runs install no device trace, so they exercise the release bulk
-// committer end to end.
+// runs exercise the release bulk committer end to end.
 // ---------------------------------------------------------------------------
 
 TEST(LoweringParity, ControllerStatsAcrossDesignsAndSchedulers)
@@ -296,6 +301,200 @@ TEST(LoweringParity, VbaStateAgreesUnderTemplates)
                 << addr.str();
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Device-level bulk commit vs per-command replay. No oracle flag is
+// involved, so these also run in -DROME_ORACLES=OFF builds — in Release
+// that is the bulk committer the benchmarks time.
+// ---------------------------------------------------------------------------
+
+/** One committed command as a device trace reports it. */
+struct Committed
+{
+    Lowered cmd;
+    ChannelDevice::IssueResult res;
+
+    bool
+    operator==(const Committed& o) const
+    {
+        return cmd == o.cmd && res.bankReadyAt == o.res.bankReadyAt &&
+               res.dataFrom == o.res.dataFrom &&
+               res.dataUntil == o.res.dataUntil;
+    }
+};
+
+void
+recordTrace(ChannelDevice& dev, std::vector<Committed>& out)
+{
+    dev.setTrace([&out](Tick at, const Command& c,
+                        const ChannelDevice::IssueResult& r) {
+        out.push_back({{at, c.kind, c.addr}, r});
+    });
+}
+
+std::vector<std::uint8_t>
+deviceState(const ChannelDevice& dev)
+{
+    CheckpointWriter w;
+    dev.saveState(w);
+    return w.data();
+}
+
+/**
+ * Commit @p tpl at @p t0 one command at a time through earliestIssue and
+ * issue; false at the first command that cannot land on its offset.
+ */
+bool
+replayPerCommand(ChannelDevice& dev, const CmdTemplate& tpl,
+                 const SequenceBinding& b, Tick t0)
+{
+    for (const TemplateCmd& e : tpl.cmds) {
+        const auto& bank = b.banks[static_cast<std::size_t>(e.bankSlot)];
+        const Command cmd{e.kind, DramAddress{e.pc, b.sid, bank.first,
+                                              bank.second, b.row, e.col}};
+        const Tick at = t0 + e.offset;
+        if (dev.earliestIssue(cmd, at) != at)
+            return false;
+        dev.issue(cmd, at);
+    }
+    return true;
+}
+
+/**
+ * Checks the bulk probe and commit on one device against a per-command
+ * replay on a copy of it.
+ */
+struct BulkRig
+{
+    explicit BulkRig(ChannelDevice& d) : dev(d) { recordTrace(dev, bulkTrace); }
+
+    /**
+     * Walk t0 up from @p from to the first anchor earliestSequence
+     * accepts — the binding constraint's boundary, where an off-by-one
+     * would show — and commit @p tpl there in bulk. Returns the anchor,
+     * or kTickMax when none lies within 100 ns.
+     */
+    Tick
+    commitFirstAccepted(const CmdTemplate& tpl, const SequenceBinding& b,
+                        Tick from, const std::string& what)
+    {
+        Tick t0 = from;
+        while (t0 < from + 100_ns && dev.earliestSequence(tpl, b, t0) != t0)
+            ++t0;
+        if (t0 == from + 100_ns)
+            return kTickMax;
+        const std::string where = what + " at " + std::to_string(t0);
+        if (t0 > from) {
+            // The probe is exact: one tick earlier, the per-command path
+            // cannot place the template either.
+            ++boundaries;
+            ChannelDevice early = dev;
+            recordTrace(early, replayTrace);
+            EXPECT_FALSE(replayPerCommand(early, tpl, b, t0 - 1)) << where;
+        }
+        ++accepted;
+        ChannelDevice replay = dev;
+        recordTrace(replay, replayTrace);
+        bulkTrace.clear();
+        replayTrace.clear();
+        dev.issueSequence(tpl, b, t0);
+        EXPECT_TRUE(replayPerCommand(replay, tpl, b, t0)) << where;
+        EXPECT_TRUE(deviceState(dev) == deviceState(replay)) << where;
+        EXPECT_TRUE(bulkTrace == replayTrace) << where;
+        return t0;
+    }
+
+    ChannelDevice& dev;
+    std::vector<Committed> bulkTrace;
+    std::vector<Committed> replayTrace;
+    int accepted = 0;
+    int boundaries = 0;
+};
+
+RowCommand
+randomRowOp(Rng& rng, const VbaMap& map)
+{
+    const std::uint64_t k = rng.below(10);
+    const RowCmdKind kind = k < 5   ? RowCmdKind::RdRow
+                            : k < 8 ? RowCmdKind::WrRow
+                                    : RowCmdKind::Ref;
+    const VbaAddress a{
+        static_cast<int>(rng.below(static_cast<std::uint64_t>(
+            map.deviceOrganization().sidsPerChannel))),
+        static_cast<int>(
+            rng.below(static_cast<std::uint64_t>(map.vbasPerSid()))),
+        static_cast<int>(rng.below(64))};
+    return {kind, a};
+}
+
+TEST(TemplateBulkCommit, MatchesPerCommandReplayFromRandomStates)
+{
+    const DramConfig cfg = hbm4Config();
+    Rng rng(0x5eed);
+    for (const auto& d : VbaDesign::all()) {
+        const VbaMap map(cfg.org, cfg.timing, d);
+        ChannelDevice dev(map.deviceOrganization(), map.deviceTiming());
+        CommandGenerator scalar(map, dev, CmdGenPlacement::LogicDie, false);
+        const CommandGenerator gen(map, dev);
+        BulkRig rig(dev);
+        Tick now = 0;
+        for (int round = 0; round < 60; ++round) {
+            // Grow the pre-existing state with scalar-lowered row ops.
+            for (int i = 0; i < 3; ++i) {
+                now += static_cast<Tick>(rng.below(150)) * 1_ns;
+                scalar.execute(randomRowOp(rng, map), now);
+            }
+            // Start probes around the recent activity, some in the
+            // command-bus gaps it left behind.
+            for (int probe = 0; probe < 8; ++probe) {
+                const RowCommand op = randomRowOp(rng, map);
+                const Tick from = std::max<Tick>(
+                    0, now + (static_cast<Tick>(rng.below(500)) - 100) * 1_ns);
+                rig.commitFirstAccepted(gen.sequenceTemplate(op.kind),
+                                        gen.sequenceBinding(op.addr), from,
+                                        d.name() + " " + op.addr.str());
+            }
+        }
+        EXPECT_GT(rig.accepted, 60) << d.name();
+        EXPECT_GT(rig.boundaries, 20) << d.name();
+    }
+}
+
+TEST(TemplateBulkCommit, TfawCountsPreexistingActsByAge)
+{
+    // Four ACTs in PC 0 of SID 0, with a gap after the oldest: the
+    // template's second ACT, not its first, is the one tFAW holds back.
+    const DramConfig cfg = hbm4Config();
+    const VbaMap map(cfg.org, cfg.timing, VbaDesign::adopted());
+    ChannelDevice dev(map.deviceOrganization(), map.deviceTiming());
+    const CommandGenerator gen(map, dev);
+    const SequenceBinding b = gen.sequenceBinding({0, 0, 1});
+    const std::array<Tick, 4> acts{0, 5_ns, 7_ns, 9_ns};
+    const Organization& org = map.deviceOrganization();
+    std::size_t n = 0;
+    for (int bg = 0; bg < org.bankGroupsPerSid; ++bg) {
+        for (int ba = 0; ba < org.banksPerGroup && n < acts.size(); ++ba) {
+            const std::pair<int, int> bank{bg, ba};
+            if (bank == b.banks[0] || bank == b.banks[1])
+                continue;
+            dev.issue({CmdKind::Act, DramAddress{0, 0, bg, ba, 0, 0}},
+                      acts[n++]);
+        }
+    }
+    ASSERT_EQ(n, acts.size());
+
+    const CmdTemplate& tpl = gen.sequenceTemplate(RowCmdKind::RdRow);
+    std::vector<Tick> pc0_acts;
+    for (const TemplateCmd& e : tpl.cmds) {
+        if (e.kind == CmdKind::Act && e.pc == 0)
+            pc0_acts.push_back(e.offset);
+    }
+    ASSERT_EQ(pc0_acts.size(), 2u);
+    BulkRig rig(dev);
+    const Tick t0 = rig.commitFirstAccepted(tpl, b, 0, "tFAW");
+    EXPECT_EQ(t0 + pc0_acts[1], acts[1] + map.deviceTiming().tFAW);
+    EXPECT_EQ(rig.boundaries, 1);
 }
 
 } // namespace
