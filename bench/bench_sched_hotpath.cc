@@ -497,8 +497,9 @@ main(int argc, char** argv)
     for (const auto& r :
          buildWorkload("stream", 16_MiB, dram.org.channelCapacity()))
         rome_mc.enqueue(r);
-    // Warm-up runs past the bus calendars's first retire-compact cycle
-    // (~100 us at stream rates), where their capacity high-water settles.
+    // Warm-up runs past the bus calendars' horizon (16 Ki slots, about
+    // 16 us) and their first retire-compact cycles, after which the live
+    // span window and the vectors' capacity high-water have settled.
     rome_mc.runUntil(120_us);
     const std::uint64_t rome_steps0 = rome_mc.stepsExecuted();
     const std::uint64_t rome_allocs0 = g_allocs.load();

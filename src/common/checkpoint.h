@@ -44,7 +44,9 @@ namespace rome
 // v4: the conventional controller's derived scheduling index (hit
 // summaries, bank worklists, per-step scratch) left it; restore validates
 // the op lists and rebuilds the index from them.
-inline constexpr std::uint32_t kCheckpointVersion = 4;
+// v5: the device's command-bus calendars store busy spans as (from, until)
+// pairs instead of one entry per slot start.
+inline constexpr std::uint32_t kCheckpointVersion = 5;
 
 /** Envelope magic ("RMCK" little-endian). */
 inline constexpr std::uint32_t kCheckpointMagic = 0x4b434d52u;

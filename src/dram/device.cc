@@ -35,7 +35,7 @@ ChannelDevice::ChannelDevice(const Organization& org,
     for (auto& s : sids_) {
         s.lastActPerBg.assign(
             static_cast<std::size_t>(org_.bankGroupsPerSid), kTickInvalid);
-        s.actWindow.assign(4, kTickInvalid);
+        s.actWindow.fill(kTickInvalid);
     }
     pcs_.reserve(static_cast<std::size_t>(org_.pcsPerChannel));
     for (int i = 0; i < org_.pcsPerChannel; ++i)
@@ -297,7 +297,7 @@ ChannelDevice::apply(const Command& cmd, Tick when)
         s.lastActPerBg[static_cast<std::size_t>(cmd.addr.bg)] = when;
         s.lastAct = when;
         s.actWindow[s.actWindowHead] = when;
-        s.actWindowHead = (s.actWindowHead + 1) % s.actWindow.size();
+        s.actWindowHead = (s.actWindowHead + 1) & SidRecord::kFawMask;
         counters_.acts.inc();
         break;
 
@@ -383,9 +383,9 @@ ChannelDevice::earliestSequence(const CmdTemplate& tpl,
             // earliestAct's own check).
             const SidRecord& s = sidRec(a.pc, a.sid);
             const std::size_t k = n_act[static_cast<std::size_t>(e.pc)]++;
-            if (k > 0 && k < s.actWindow.size()) {
+            if (k > 0 && k < SidRecord::kFawActs) {
                 const Tick w =
-                    s.actWindow[(s.actWindowHead + k) % s.actWindow.size()];
+                    s.actWindow[(s.actWindowHead + k) & SidRecord::kFawMask];
                 if (w != kTickInvalid && w + t_.tFAW > at)
                     return kTickMax;
             }
@@ -434,20 +434,20 @@ ChannelDevice::issueSequence(const CmdTemplate& tpl,
         issue({e.kind, templateAddr(e, bind)}, t0 + e.offset);
 #else
     // Row commands (few per template) go through the per-command apply
-    // step. The column stream reserves its bus slots at the fixed
-    // cadence but applies only the last CAS per bank slot to the records
-    // and its counters in one batch: later CAS records overwrite earlier
-    // ones and counters commute, so the end state is the per-command one.
+    // step. The column stream books its bus slots as one run (a single
+    // span at slot-width cadence) and applies only the last CAS per bank
+    // slot to the records and its counters in one batch: later CAS
+    // records overwrite earlier ones, counters commute, and the calendar
+    // merges a run into the same spans as its slots one by one, so the
+    // end state is the per-command one.
     for (const std::uint32_t idx : tpl.rowIdx) {
         const TemplateCmd& e = tpl.cmds[idx];
         apply({e.kind, templateAddr(e, bind)}, t0 + e.offset);
     }
     if (tpl.casPerPc > 0) {
         for (int p = 0; p < tpl.pcCount; ++p) {
-            SlotCalendar& bus = pcs_[static_cast<std::size_t>(p)].colBus;
-            Tick at = t0 + tpl.casFirstOffset;
-            for (int i = 0; i < tpl.casPerPc; ++i, at += tpl.casCadence)
-                bus.reserve(at);
+            pcs_[static_cast<std::size_t>(p)].colBus.reserveRun(
+                t0 + tpl.casFirstOffset, tpl.casPerPc, tpl.casCadence);
             const auto note = [&](std::int16_t slot, Tick off) {
                 DramAddress a;
                 a.pc = p;
@@ -574,6 +574,9 @@ ChannelDevice::loadState(CheckpointReader& r)
         for (Tick& t : s.actWindow)
             t = r.getI64();
         s.actWindowHead = static_cast<std::size_t>(r.getU64());
+        if (s.actWindowHead >= SidRecord::kFawActs)
+            fatal("device checkpoint ACT-window head %zu out of range",
+                  s.actWindowHead);
         s.lastRefPb = r.getI64();
         s.refAbUntil = r.getI64();
     }

@@ -36,6 +36,7 @@
 #include "dram/address.h"
 #include "dram/bank.h"
 #include "dram/command.h"
+#include "dram/slot_calendar.h"
 #include "dram/timing.h"
 
 namespace rome
@@ -193,7 +194,10 @@ class ChannelDevice
      * scalar per-command path would produce — but without re-validating
      * each command (debug builds still do). Row commands go through the
      * per-command apply step; the column stream's records and counters
-     * are applied once. An installed trace sees every command, in
+     * are applied once, and its bus slots are booked with one
+     * SlotCalendar::reserveRun per PC (one span when the cadence equals
+     * the slot width), so a commit costs O(row commands + PCs), not
+     * O(column commands). An installed trace sees every command, in
      * template order, with the IssueResult issue() would have returned.
      * Only call after earliestSequence(tpl, b, t0) returned t0.
      */
@@ -337,132 +341,16 @@ class ChannelDevice
         std::vector<Tick> lastActPerBg;
         /** Last ACT anywhere in the (PC, SID) (tRRDS). */
         Tick lastAct = kTickInvalid;
-        /** Ring of the last four ACT times (tFAW). */
-        std::vector<Tick> actWindow;
+        /** Ring of the last four ACT times (tFAW); the head is the
+         *  oldest entry and advances by mask. */
+        static constexpr std::size_t kFawActs = 4;
+        static constexpr std::size_t kFawMask = kFawActs - 1;
+        std::array<Tick, kFawActs> actWindow{};
         std::size_t actWindowHead = 0;
         /** Last per-bank refresh issue (tRREFD). */
         Tick lastRefPb = kTickInvalid;
         /** Completion of the last all-bank refresh. */
         Tick refAbUntil = kTickInvalid;
-    };
-
-    /**
-     * Occupied command-bus slots (one per ns). A calendar rather than a
-     * high-water mark: the RoMe command generator lowers whole row
-     * operations at once, so a later operation may legally claim an earlier
-     * free slot between commands that were already committed.
-     *
-     * Backed by a sorted vector with a retired-prefix cursor instead of a
-     * node-based std::set: reservations are near-monotone, so inserts are
-     * almost always appends, lookups are cache-friendly binary searches,
-     * and — crucially for the allocation-free scheduler hot loop — a
-     * warmed-up calendar reserves slots without calling the allocator.
-     */
-    class SlotCalendar
-    {
-      public:
-        explicit SlotCalendar(Tick width) : width_(width)
-        {
-            // Steady-state capacity: reservations are at least width_
-            // apart, so the retire loop bounds the live window to 16 Ki
-            // entries and the compaction threshold bounds the retired
-            // prefix to 4 Ki. Reserving the sum up front keeps
-            // reserve() allocation-free for the whole run instead of
-            // doubling its way there mid-simulation.
-            occupied_.reserve(16384 + 4096 + 64);
-        }
-
-        /** First tick >= @p t whose [t, t+width) window is free. */
-        Tick
-        nextFree(Tick t) const
-        {
-            // Fast path: conventional schedulers probe at monotonically
-            // increasing times, so most queries land past the newest
-            // reservation and need no search at all.
-            if (occupied_.size() == head_ ||
-                t >= occupied_.back() + width_) {
-                return t;
-            }
-            Tick cand = t;
-            auto it = std::lower_bound(occupied_.begin() +
-                                           static_cast<std::ptrdiff_t>(head_),
-                                       occupied_.end(), cand - width_ + 1);
-            while (it != occupied_.end() && *it < cand + width_) {
-                cand = std::max(cand, *it + width_);
-                ++it;
-            }
-            return cand;
-        }
-
-        /**
-         * True when no reservation overlaps [from, until) — a bulk probe
-         * for a template's whole column-command stream.
-         */
-        bool
-        rangeFree(Tick from, Tick until) const
-        {
-            if (occupied_.size() == head_ ||
-                from >= occupied_.back() + width_) {
-                return true;
-            }
-            const auto it = std::lower_bound(
-                occupied_.begin() + static_cast<std::ptrdiff_t>(head_),
-                occupied_.end(), from - width_ + 1);
-            return it == occupied_.end() || *it >= until;
-        }
-
-        /** Mark [at, at+width) busy. */
-        void
-        reserve(Tick at)
-        {
-            if (occupied_.empty() || at >= occupied_.back()) {
-                occupied_.push_back(at);
-            } else {
-                occupied_.insert(
-                    std::lower_bound(occupied_.begin() +
-                                         static_cast<std::ptrdiff_t>(head_),
-                                     occupied_.end(), at),
-                    at);
-            }
-            // Bound memory: issue times are near-monotone, so very old
-            // slots can never conflict again. Retire them behind the head
-            // cursor and compact in bulk so capacity is reused, not grown.
-            while (occupied_.size() - head_ > 8192 &&
-                   occupied_[head_] + 16384 * width_ < at) {
-                ++head_;
-            }
-            if (head_ > 4096) {
-                occupied_.erase(occupied_.begin(),
-                                occupied_.begin() +
-                                    static_cast<std::ptrdiff_t>(head_));
-                head_ = 0;
-            }
-        }
-
-        /** Serialize only the live suffix; the retired prefix can never
-         *  conflict again, so dropping it is behavior-preserving. */
-        void
-        saveState(CheckpointWriter& w) const
-        {
-            w.putCount(occupied_.size() - head_);
-            for (std::size_t i = head_; i < occupied_.size(); ++i)
-                w.putI64(occupied_[i]);
-        }
-
-        void
-        loadState(CheckpointReader& r)
-        {
-            head_ = 0;
-            occupied_.resize(r.getCount());
-            for (Tick& t : occupied_)
-                t = r.getI64();
-        }
-
-      private:
-        Tick width_;
-        /** Entries before head_ are retired; the rest is sorted live data. */
-        std::size_t head_ = 0;
-        std::vector<Tick> occupied_;
     };
 
     /** Tracking shared by one PC (CAS stream, data bus, command slots). */

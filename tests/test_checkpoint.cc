@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -462,6 +463,176 @@ TEST(Checkpoint, CorruptedOpListIndexIsFatal)
                      std::runtime_error)
             << m.what;
     }
+}
+
+/** Little-endian u64 at @p at in @p blob. */
+std::uint64_t
+getU64At(const std::vector<std::uint8_t>& blob, std::size_t at)
+{
+    std::uint64_t v = 0;
+    for (int k = 0; k < 8; ++k)
+        v |= static_cast<std::uint64_t>(blob[at + static_cast<std::size_t>(k)])
+             << (8 * k);
+    return v;
+}
+
+void
+putU64At(std::vector<std::uint8_t>& blob, std::size_t at, std::uint64_t v)
+{
+    for (int k = 0; k < 8; ++k)
+        blob[at + static_cast<std::size_t>(k)] =
+            static_cast<std::uint8_t>(v >> (8 * k));
+}
+
+/** Where ChannelDevice::saveState put the fields restore must check. */
+struct DeviceBlobFields
+{
+    /** Offset of each SID's ACT-window head. */
+    std::vector<std::size_t> actWindowHeads;
+    /** Offset of each command-bus calendar's span count (row bus, then
+     *  column bus, per PC); its (from, until) pairs follow. */
+    std::vector<std::size_t> calendars;
+};
+
+/** Walk a device blob's layout: banks, SIDs, then PCs. */
+DeviceBlobFields
+walkDeviceBlob(const std::vector<std::uint8_t>& dev)
+{
+    DeviceBlobFields f;
+    std::size_t at = 0;
+    const auto count = [&] {
+        const std::uint64_t n = getU64At(dev, at);
+        at += 8;
+        return static_cast<std::size_t>(n);
+    };
+    // openRow i32, lastAct/lastPre/lastCas i64, lastCasWasWrite u8,
+    // refUntil i64.
+    at += count() * 37;
+    const std::size_t sids = count();
+    for (std::size_t i = 0; i < sids; ++i) {
+        at += count() * 8 + 8; // lastActPerBg, lastAct
+        EXPECT_EQ(count(), 4u) << "ACT-window size of SID " << i;
+        at += 4 * 8;
+        f.actWindowHeads.push_back(at);
+        at += 3 * 8; // head, lastRefPb, refAbUntil
+    }
+    const std::size_t pcs = count();
+    for (std::size_t i = 0; i < pcs; ++i) {
+        at += 8 + 4 + 4 + 1 + 8 + 8;
+        for (int bus = 0; bus < 2; ++bus) {
+            f.calendars.push_back(at);
+            at += count() * 16;
+        }
+    }
+    EXPECT_LE(at + 8, dev.size()) << "device blob walk overran";
+    return f;
+}
+
+/**
+ * Corrupt one device field at a time inside a whole controller
+ * checkpoint and expect restore to refuse each: an ACT-window head
+ * outside the four-entry ring, and calendar spans that are empty,
+ * inverted, unsorted, overlapping or touching (not maximal).
+ */
+template <typename MakeMc>
+void
+expectCorruptDeviceFieldsAreFatal(MakeMc make,
+                                  const std::vector<Request>& reqs,
+                                  const std::string& label)
+{
+    auto mc = make();
+    enqueueAll(*mc, reqs);
+    mc->runUntil(3_us);
+    const auto blob = saveControllerCheckpoint(*mc);
+    CheckpointWriter w;
+    mc->device().saveState(w);
+    const std::vector<std::uint8_t>& dev = w.data();
+    const auto found = std::search(blob.begin(), blob.end(), dev.begin(),
+                                   dev.end());
+    ASSERT_NE(found, blob.end()) << label;
+    ASSERT_EQ(std::search(found + 1, blob.end(), dev.begin(), dev.end()),
+              blob.end())
+        << label << ": device blob is not unique in the checkpoint";
+    const auto base = static_cast<std::size_t>(found - blob.begin());
+    const DeviceBlobFields f = walkDeviceBlob(dev);
+    ASSERT_FALSE(f.actWindowHeads.empty()) << label;
+
+    {
+        auto twin = make();
+        restoreControllerCheckpoint(*twin, blob); // the intact blob loads
+    }
+    const auto expect_fatal = [&](const std::string& what,
+                                  const std::vector<std::uint8_t>& bad) {
+        auto twin = make();
+        EXPECT_THROW(restoreControllerCheckpoint(*twin, bad),
+                     std::runtime_error)
+            << label << ": " << what;
+    };
+    for (const std::uint64_t head : {4ull, 1ull << 40}) {
+        auto bad = blob;
+        putU64At(bad, base + f.actWindowHeads.back(), head);
+        expect_fatal("ACT-window head " + std::to_string(head), bad);
+    }
+
+    // A calendar with at least two spans, so order can be broken too.
+    std::size_t cal = 0;
+    for (const std::size_t c : f.calendars) {
+        if (getU64At(dev, c) >= 2) {
+            cal = base + c;
+            break;
+        }
+    }
+    ASSERT_NE(cal, 0u) << label << ": no calendar with two spans";
+    const std::size_t from0 = cal + 8;
+    const std::size_t until0 = cal + 16;
+    const std::size_t from1 = cal + 24;
+    const std::size_t until1 = cal + 32;
+    const std::uint64_t f0 = getU64At(blob, from0);
+    const std::uint64_t u0 = getU64At(blob, until0);
+    const std::uint64_t f1 = getU64At(blob, from1);
+    const std::uint64_t u1 = getU64At(blob, until1);
+    struct Mutation
+    {
+        const char* what;
+        std::size_t at;
+        std::uint64_t value;
+    };
+    const Mutation mutations[] = {
+        {"empty span", until0, f0},
+        {"inverted span", until0, f0 - 1},
+        {"overlapping spans", from1, u0 - 1},
+        {"touching spans", from1, u0},
+        {"span count lie", cal, getU64At(blob, cal) + 1},
+    };
+    for (const Mutation& m : mutations) {
+        auto bad = blob;
+        putU64At(bad, m.at, m.value);
+        expect_fatal(m.what, bad);
+    }
+    auto swapped = blob;
+    putU64At(swapped, from0, f1);
+    putU64At(swapped, until0, u1);
+    putU64At(swapped, from1, f0);
+    putU64At(swapped, until1, u0);
+    expect_fatal("unsorted spans", swapped);
+}
+
+TEST(Checkpoint, CorruptedDeviceRecordsAreFatal)
+{
+    const DramConfig dram = hbm4Config();
+    const auto reqs = mixedWorkload(353, 0.3);
+    expectCorruptDeviceFieldsAreFatal(
+        [&] {
+            return std::make_unique<ConventionalMc>(
+                dram, bestBaselineMapping(dram.org), McConfig{});
+        },
+        reqs, "hbm4");
+    expectCorruptDeviceFieldsAreFatal(
+        [&] {
+            return std::make_unique<RomeMc>(dram, VbaDesign::adopted(),
+                                            RomeMcConfig{});
+        },
+        reqs, "rome");
 }
 
 TEST(Checkpoint, ResumedSourceMustReplayTheStream)

@@ -2,14 +2,22 @@
  * @file
  * Timing-rule tests for the HBM channel device: every JEDEC-style constraint
  * the paper's Table II lists is exercised, plus bank FSM observability,
- * refresh windows, command-bus serialization, and event counters.
+ * refresh windows, command-bus serialization, and event counters — plus a
+ * differential test of the command-bus SlotCalendar against a naive set of
+ * slot starts.
  */
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
+#include "common/random.h"
 #include "dram/device.h"
 #include "dram/hbm4_config.h"
 #include "dram/hbm_generations.h"
+#include "dram/slot_calendar.h"
 
 namespace rome
 {
@@ -415,6 +423,190 @@ TEST(HbmGenerations, TrendsMatchFigure2)
 
     // C/A bandwidth demand rises across generations (Fig 2(b)).
     EXPECT_GT(gens[5].caBandwidthGBs(), 4 * gens[0].caBandwidthGBs());
+}
+
+// ---- SlotCalendar -----------------------------------------------------
+
+/** One slot per ns, as on the device's command buses. */
+constexpr Tick kSlot = kTicksPerNs;
+constexpr Tick kHorizon = SlotCalendar::kHorizonSlots * kSlot;
+
+/** Reference model: every booked slot start in a set, never retired. */
+struct NaiveCalendar
+{
+    std::set<Tick> starts;
+
+    /** Some booked slot overlaps [from, until). */
+    bool
+    overlaps(Tick from, Tick until) const
+    {
+        const auto it = starts.lower_bound(from - kSlot + 1);
+        return it != starts.end() && *it < until;
+    }
+
+    Tick
+    nextFree(Tick t) const
+    {
+        for (;;) {
+            const auto it = starts.lower_bound(t - kSlot + 1);
+            if (it == starts.end() || *it >= t + kSlot)
+                return t;
+            t = *it + kSlot;
+        }
+    }
+};
+
+std::vector<std::uint8_t>
+calendarState(const SlotCalendar& c)
+{
+    CheckpointWriter w;
+    c.saveState(w);
+    return w.data();
+}
+
+TEST(SlotCalendar, MatchesNaiveSlotSetUnderRandomBookings)
+{
+    // Bookings land at tick (sub-slot) granularity in a window that
+    // slides forward, some behind the newest span (out of order), some
+    // as runs at and off slot-width stride. The window slides past the
+    // horizon many times over, so spans retire and the vector compacts,
+    // while every query stays inside the horizon where answers must
+    // match the naive set exactly.
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+        Rng rng(seed);
+        SlotCalendar cal(kSlot);
+        NaiveCalendar ref;
+        Tick base = 0;
+        const Tick window = 600 * kSlot;
+        for (int op = 0; op < 60000; ++op) {
+            const std::string where =
+                "seed " + std::to_string(seed) + " op " + std::to_string(op);
+            const Tick at = base + static_cast<Tick>(rng.below(
+                                       static_cast<std::uint64_t>(window)));
+            switch (rng.below(6)) {
+              case 0:
+              case 1:
+                cal.reserve(at);
+                ref.starts.insert(at);
+                break;
+              case 2: {
+                const int count = 1 + static_cast<int>(rng.below(24));
+                const Tick strides[] = {kSlot, kSlot + 1, 2 * kSlot,
+                                        3 * kSlot + 2};
+                const Tick stride = strides[rng.below(4)];
+                cal.reserveRun(at, count, stride);
+                for (int i = 0; i < count; ++i)
+                    ref.starts.insert(at + i * stride);
+                break;
+              }
+              case 3: {
+                const Tick t = at - window / 2;
+                ASSERT_EQ(cal.nextFree(t), ref.nextFree(t)) << where;
+                break;
+              }
+              case 4: {
+                const Tick from = at - window / 2;
+                const Tick until =
+                    from + 1 + static_cast<Tick>(rng.below(40 * kSlot));
+                ASSERT_EQ(cal.rangeFree(from, until),
+                          !ref.overlaps(from, until))
+                    << where;
+                break;
+              }
+              default:
+                base += static_cast<Tick>(rng.below(48 * kSlot));
+                break;
+            }
+        }
+        EXPECT_GT(base, 10 * kHorizon) << "window never left the horizon";
+        EXPECT_LT(cal.liveSpans(), ref.starts.size());
+
+        // Save/load round trip: same answers, same blob.
+        SlotCalendar back(kSlot);
+        const auto blob = calendarState(cal);
+        CheckpointReader r(blob);
+        back.loadState(r);
+        r.finish();
+        EXPECT_EQ(calendarState(back), blob);
+        for (Tick t = base - window; t < base + 2 * window; t += 3) {
+            ASSERT_EQ(back.nextFree(t), cal.nextFree(t)) << t;
+            ASSERT_EQ(back.rangeFree(t, t + 7), cal.rangeFree(t, t + 7)) << t;
+        }
+    }
+}
+
+TEST(SlotCalendar, ReservationsMergeWithNeighboursOnBothSides)
+{
+    SlotCalendar cal(kSlot);
+    cal.reserve(8 * kSlot);
+    cal.reserve(2 * kSlot); // out of order, before the newest span
+    EXPECT_EQ(cal.liveSpans(), 2u);
+    cal.reserve(3 * kSlot); // extends the left span rightwards
+    cal.reserve(kSlot);     // ... and leftwards
+    cal.reserve(7 * kSlot); // extends the right span leftwards
+    EXPECT_EQ(cal.liveSpans(), 2u);
+    EXPECT_EQ(cal.nextFree(kSlot), 4 * kSlot);
+    EXPECT_EQ(cal.nextFree(5 * kSlot), 5 * kSlot);
+    EXPECT_EQ(cal.nextFree(6 * kSlot), 6 * kSlot);
+    EXPECT_EQ(cal.nextFree(6 * kSlot + 1), 9 * kSlot);
+    cal.reserveRun(4 * kSlot, 3, kSlot); // fills the gap: one span
+    EXPECT_EQ(cal.liveSpans(), 1u);
+    EXPECT_EQ(cal.nextFree(0), 0);
+    EXPECT_EQ(cal.nextFree(1), 9 * kSlot);
+    EXPECT_FALSE(cal.rangeFree(0, kSlot + 1));
+    EXPECT_TRUE(cal.rangeFree(0, kSlot));
+    EXPECT_TRUE(cal.rangeFree(9 * kSlot, 10 * kSlot));
+}
+
+TEST(SlotCalendar, SubSlotGapsStaySeparateButFitNoSlot)
+{
+    SlotCalendar cal(kSlot);
+    cal.reserve(0);
+    cal.reserve(kSlot + 1); // one tick after the first slot ends
+    EXPECT_EQ(cal.liveSpans(), 2u);
+    EXPECT_TRUE(cal.rangeFree(kSlot, kSlot + 1));
+    EXPECT_EQ(cal.nextFree(0), 2 * kSlot + 1);
+    EXPECT_EQ(cal.nextFree(kSlot), 2 * kSlot + 1);
+    cal.reserve(kSlot - 2); // overlapping booking: the union is kept
+    EXPECT_EQ(cal.liveSpans(), 1u);
+    EXPECT_EQ(cal.nextFree(0), 2 * kSlot + 1);
+}
+
+TEST(SlotCalendar, RunsAreOneSpanOnlyAtSlotWidthStride)
+{
+    SlotCalendar cal(kSlot);
+    cal.reserveRun(100, 64, kSlot);
+    EXPECT_EQ(cal.liveSpans(), 1u);
+    EXPECT_EQ(cal.nextFree(100), 100 + 64 * kSlot);
+    cal.reserveRun(100 + 100 * kSlot, 64, 2 * kSlot);
+    EXPECT_EQ(cal.liveSpans(), 65u);
+    EXPECT_EQ(cal.nextFree(100 + 100 * kSlot), 101 * kSlot + 100);
+    cal.reserveRun(0, 0, kSlot); // empty run books nothing
+    EXPECT_EQ(cal.liveSpans(), 65u);
+}
+
+TEST(SlotCalendar, RetiresSpansPastTheHorizon)
+{
+    // A span is kept while it ends no more than the horizon before the
+    // newest span's end.
+    SlotCalendar kept(kSlot);
+    kept.reserve(0);
+    kept.reserve(kHorizon);
+    EXPECT_EQ(kept.liveSpans(), 2u);
+    EXPECT_EQ(kept.nextFree(0), kSlot);
+
+    SlotCalendar retired(kSlot);
+    retired.reserve(0);
+    retired.reserve(kHorizon + 1);
+    EXPECT_EQ(retired.liveSpans(), 1u);
+    EXPECT_EQ(retired.nextFree(0), 0);
+
+    // A long in-order stream stays bounded by the horizon.
+    SlotCalendar stream(kSlot);
+    for (Tick t = 0; t < 8 * kHorizon; t += 2 * kSlot)
+        stream.reserve(t);
+    EXPECT_LE(stream.liveSpans(),
+              static_cast<std::size_t>(SlotCalendar::kHorizonSlots / 2 + 1));
 }
 
 TEST(DeviceDeathTest, IssueTooEarlyPanics)
