@@ -55,6 +55,7 @@
 #include "rome/rome_mc.h"
 #include "sim/engine.h"
 #include "sim/memsim.h"
+#include "sim/node.h"
 #include "sim/source.h"
 #include "sim/telemetry.h"
 #include "sim/trace.h"
@@ -258,14 +259,15 @@ doTimeline(int argc, char** argv)
         usage();
     const DramConfig dram = hbm4Config();
 
-    // The system trace shards across the channels exactly like a serving
+    // The system trace is decoded once and dealt round-robin across the
+    // channels of one cube behind an ideal link, exactly like a serving
     // run; every channel records into its own sink, so the exported
     // timeline has one Perfetto process per channel.
-    const SourceFactory system = [in] {
-        return std::make_unique<TraceSource>(in);
-    };
-    auto shards =
-        shardAcrossChannels(system, channels, /*stripe_bytes=*/0);
+    NodeConfig split;
+    split.channelsPerCube = channels;
+    split.link = LinkConfig::idealLink();
+    TraceSource trace(in);
+    NodeStreams streams = splitNodeStream(trace, split);
 
     ChannelSimEngine engine(defaultSimThreads());
     std::vector<std::unique_ptr<TelemetrySink>> sinks;
@@ -285,8 +287,9 @@ doTimeline(int argc, char** argv)
         mc->attachTelemetrySink(sinks.back().get(),
                                 /*trace_commands=*/true);
         const int idx = engine.addChannel(std::move(mc));
-        engine.bindSource(idx,
-                          std::move(shards[static_cast<std::size_t>(ch)]));
+        auto& stream = streams.channels[static_cast<std::size_t>(ch)];
+        engine.bindSource(
+            idx, std::make_unique<PackedReplaySource>(std::move(stream)));
     }
     const Tick finished = engine.drainAll();
 

@@ -114,35 +114,6 @@ ConventionalMc::updateRefreshDue()
         refreshDue_ = std::min(refreshDue_, u.rot.due);
 }
 
-void
-ConventionalMc::installCommandTrace()
-{
-    // Every committed command becomes one span on its bank's track: CAS
-    // spans cover the data burst, row/refresh commands the bank-busy
-    // window, so the recorded timeline is the literal per-command
-    // schedule regardless of slicing.
-    dev_.setTrace([this](Tick when, const Command& cmd,
-                         const ChannelDevice::IssueResult& res) {
-        if (sink_ == nullptr)
-            return;
-        const char* name = "CMD";
-        Tick end = res.bankReadyAt;
-        switch (cmd.kind) {
-          case CmdKind::Act: name = "ACT"; break;
-          case CmdKind::Pre: name = "PRE"; break;
-          case CmdKind::Rd: name = "RD"; end = res.dataUntil; break;
-          case CmdKind::Wr: name = "WR"; end = res.dataUntil; break;
-          case CmdKind::RefPb: name = "REFpb"; break;
-          case CmdKind::RefAb: name = "REFab"; break;
-          default: break;
-        }
-        const int track = cmd.kind == CmdKind::RefAb
-                              ? TelemetrySink::kChannelTrack
-                              : flatBankIndex(dramCfg_.org, cmd.addr);
-        sink_->span(name, track, when, end > when ? end - when : 0);
-    });
-}
-
 int
 ConventionalMc::pendingRefreshCount(const RefreshUnit& u) const
 {
@@ -201,9 +172,13 @@ ConventionalMc::admitOps()
     };
     while (frontChunk_ < total && queued() + outstanding.size() < depth) {
         const std::uint64_t line = first_line + frontChunk_;
-        Op op{map_.decode(line * col), req.id, req.kind, req.arrival,
-              total == 1};
+        Op op;
+        op.reqId = req.id;
+        op.arrival = req.arrival;
         op.linkDelay = req.linkDelay;
+        op.singleOp = total == 1;
+        op.addr = map_.decode(line * col);
+        op.kind = req.kind;
         if (faults_.enabled()) {
             // Spared rows are remapped at admission so every queued op
             // carries the physical row it will access.
@@ -242,8 +217,10 @@ ConventionalMc::updateWriteDrain()
 void
 ConventionalMc::completeOp(const Op& op, Tick data_end)
 {
+    // Writes carry no read data to check.
     bool poisoned = false;
-    if (faults_.enabled() && deferForFault(op, data_end, poisoned))
+    if (faults_.enabled() && op.kind == ReqKind::Read &&
+        recoverRead(op, data_end, poisoned, retryQ_))
         return; // correctable error: the op completes on a later re-read
     if (op.kind == ReqKind::Read)
         bytesRead_ += dramCfg_.org.columnBytes;
@@ -251,138 +228,45 @@ ConventionalMc::completeOp(const Op& op, Tick data_end)
         bytesWritten_ += dramCfg_.org.columnBytes;
     // completeOp runs at the CAS issue tick, so now_ is exactly the
     // command's issue time for the latency breakdown.
-    if (op.singleOp)
-        noteSingleOpDone(op.reqId, op.arrival, data_end, poisoned,
-                         op.retryWait, op.linkDelay);
-    else
-        noteOpDone(op.reqId, data_end, poisoned, op.retryWait);
-}
-
-// ---------------------------------------------------------------------------
-// Reliability: per-CAS ECC classification, retry, scrub, row sparing
-// ---------------------------------------------------------------------------
-
-bool
-ConventionalMc::deferForFault(const Op& op, Tick data_end, bool& poisoned)
-{
-    // Writes carry no read data to check; DUEs deliver poisoned data
-    // immediately (retrying an uncorrectable pattern cannot help — the
-    // injector already accounted the event), flagged so the completion
-    // carries the poison bit up to the serving layer.
-    if (op.kind != ReqKind::Read)
-        return false;
-    const int bank = flatBankIndex(dramCfg_.org, op.addr);
-    const EccVerdict v =
-        faults_.classifyRead(bank, op.addr.row, op.addr.col, 1);
-    if (v != EccVerdict::CorrectedError) {
-        poisoned = v == EccVerdict::UncorrectableError;
-        if (poisoned && sink_ != nullptr)
-            sink_->instant("due", bank, data_end);
-        return false;
-    }
-    if (op.attempt < faults_.config().retryLimit) {
-        Op retry = op;
-        ++retry.attempt;
-        queueRetry(retry, faults_.retryReadyAt(data_end, op.attempt));
-        return true;
-    }
-    // Retry budget exhausted: this is a persistent CE. Strike the row;
-    // past the threshold remap it to a spare and replay the op there —
-    // the request completes late instead of looping forever.
-    if (faults_.noteCorrectable(bank, op.addr.row)) {
-        const SpareEvent ev = faults_.spareRow(bank, op.addr.row);
-        if (ev.newRow >= 0) {
-            applySpare(ev);
-            Op replay = op;
-            replay.addr.row = ev.newRow;
-            replay.attempt = 0;
-            queueRetry(replay, faults_.retryReadyAt(data_end, 0));
-            return true;
-        }
-    }
-    return false; // no spare left: deliver the corrected data as-is
-}
-
-void
-ConventionalMc::queueRetry(Op op, Tick ready_at)
-{
-    faults_.noteRetry();
-    // The op re-enters the queue no earlier than ready_at; everything
-    // between the (re)issue decision and that point is retry backoff,
-    // subtracted from the request's queueing component.
-    if (telemetryOn() && ready_at > now_)
-        op.retryWait += ready_at - now_;
-    if (sink_ != nullptr)
-        sink_->instant("retry", TelemetrySink::kChannelTrack, now_);
-    retryQ_.push_back(PendingRetry{op, ready_at});
-    nextRetryAt_ = std::min(nextRetryAt_, ready_at);
+    handOff(op, data_end, poisoned);
 }
 
 void
 ConventionalMc::pumpRetries()
 {
-    if (retryQ_.empty())
-        return;
+    // Re-admission respects the read queue depth (retries compete with
+    // admission for queue space).
     const auto depth = static_cast<std::size_t>(cfg_.readQueueDepth);
-    Tick next = kTickMax;
-    std::size_t w = 0;
-    for (std::size_t i = 0; i < retryQ_.size(); ++i) {
-        PendingRetry r = retryQ_[i];
-        // Re-admission respects the read queue depth; a full queue keeps
-        // the entry pending (the queue drains every step, so no wake-up
-        // bookkeeping is needed for that case).
-        if (r.readyAt <= now_ &&
-            readQueueSize() + readOutstanding_.size() < depth) {
+    retryQ_.pump(
+        now_,
+        [&] { return readQueueSize() + readOutstanding_.size() < depth; },
+        [&](const Op& op) {
             if (cfg_.legacyScheduler)
-                readQ_.push_back(r.op);
+                readQ_.push_back(op);
             else
-                insertOpIndexed(r.op);
-            continue;
-        }
-        next = std::min(next, std::max(r.readyAt, now_ + 1));
-        retryQ_[w++] = r;
-    }
-    retryQ_.resize(w);
-    nextRetryAt_ = next;
+                insertOpIndexed(op);
+        });
 }
 
 void
-ConventionalMc::runScrub()
+ConventionalMc::respareQueued(const SpareEvent& ev)
 {
-    scrubEvents_.clear();
-    faults_.scrub(scrubEvents_);
-    for (const SpareEvent& ev : scrubEvents_)
-        applySpare(ev);
-}
-
-void
-ConventionalMc::applySpare(const SpareEvent& ev)
-{
-    if (sink_ != nullptr)
-        sink_->instant("spare", ev.bank, now_);
-    const auto rewrite = [&](Op& op) {
-        if (op.addr.row == ev.oldRow &&
-            flatBankIndex(dramCfg_.org, op.addr) == ev.bank)
-            op.addr.row = ev.newRow;
-    };
     if (cfg_.legacyScheduler) {
         for (Op& op : readQ_)
-            rewrite(op);
+            faultSite(op).respare(ev);
         for (Op& op : writeQ_)
-            rewrite(op);
-    } else {
-        BankEntry& e = bankIx_[static_cast<std::size_t>(ev.bank)];
-        for (BankList* l : {&e.read, &e.write}) {
-            for (int i = l->head; i != -1;
-                 i = pool_[static_cast<std::size_t>(i)].next) {
-                rewrite(pool_[static_cast<std::size_t>(i)].op);
-            }
-        }
-        // Row identities in the bank changed: hit summaries are stale.
-        reindexBankRow(ev.bank);
+            faultSite(op).respare(ev);
+        return;
     }
-    for (PendingRetry& r : retryQ_)
-        rewrite(r.op);
+    BankEntry& e = bankIx_[static_cast<std::size_t>(ev.bank)];
+    for (BankList* l : {&e.read, &e.write}) {
+        for (int i = l->head; i != -1;
+             i = pool_[static_cast<std::size_t>(i)].next) {
+            faultSite(pool_[static_cast<std::size_t>(i)].op).respare(ev);
+        }
+    }
+    // Row identities in the bank changed: hit summaries are stale.
+    reindexBankRow(ev.bank);
 }
 
 ConventionalMc::IdleWake
@@ -397,8 +281,8 @@ ConventionalMc::idleWakeTick(Tick adaptive_next) const
         if (at < wake.at)
             wake = {at, cause};
     };
-    if (nextRetryAt_ != kTickMax)
-        offer(std::max(nextRetryAt_, now_ + 1), StallCause::RetryBackoff);
+    if (retryQ_.nextAt() != kTickMax)
+        offer(std::max(retryQ_.nextAt(), now_ + 1), StallCause::RetryBackoff);
     if (!host_.empty()) {
         Tick admit_at = std::max(host_.front().arrival, now_ + 1);
         Tick first_free = std::min(readOutstanding_.firstFreeAfter(now_),
@@ -989,7 +873,7 @@ ConventionalMc::stepOnceIndexed(Tick until)
             u.rot.advance(dramCfg_.org.banksPerSid());
             updateRefreshDue();
             if (faults_.enabled())
-                runScrub(); // patrol scrub rides the refresh calendar
+                runScrub(retryQ_); // patrol scrub rides the refresh calendar
         } else {
             applyRowCommand(best.cmd); // opportunistic-refresh precharge
         }
@@ -1239,7 +1123,7 @@ ConventionalMc::stepOnceLegacy(Tick until)
                 refreshUnits_[static_cast<std::size_t>(best->refreshUnit)];
             u.rot.advance(dramCfg_.org.banksPerSid());
             if (faults_.enabled())
-                runScrub(); // patrol scrub rides the refresh calendar
+                runScrub(retryQ_); // patrol scrub rides the refresh calendar
         }
     } else if (best->cmd.kind == CmdKind::Rd || best->cmd.kind == CmdKind::Wr) {
         auto& queue = best->isWrite ? writeQ_ : readQ_;
@@ -1427,12 +1311,7 @@ ConventionalMc::saveCheckpoint(CheckpointWriter& w) const
         w.putI32(u.rot.cursor);
     }
 
-    w.putCount(retryQ_.size());
-    for (const PendingRetry& p : retryQ_) {
-        put_op(p.op);
-        w.putI64(p.readyAt);
-    }
-    w.putI64(nextRetryAt_);
+    retryQ_.saveState(w, put_op);
 
     w.putU64(casIssued_);
     readQOcc_.saveState(w);
@@ -1519,16 +1398,10 @@ ConventionalMc::restoreCheckpoint(CheckpointReader& r)
     }
     updateRefreshDue();
 
-    retryQ_.resize(r.getCount());
-    for (PendingRetry& p : retryQ_) {
-        p.op = get_op();
-        p.readyAt = r.getI64();
-    }
-    nextRetryAt_ = r.getI64();
+    retryQ_.loadState(r, get_op);
 
     casIssued_ = r.getU64();
     readQOcc_.loadState(r);
-    scrubEvents_.clear();
     if (!cfg_.legacyScheduler)
         rebuildIndex();
 }

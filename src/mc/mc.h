@@ -31,10 +31,11 @@
  * The controller drives one ChannelDevice; every command it emits is
  * re-validated by the device against the full timing rule set.
  *
- * Host-request admission, in-flight/completion accounting, and the
- * runUntil/drain loop live in ChannelControllerBase (sim/engine.h), which
- * the RoMe controller shares; this class supplies the column-granularity
- * scheduling.
+ * Host-request admission, in-flight/completion accounting, the
+ * runUntil/drain loop and the read-recovery path (ECC retry, sparing,
+ * scrub) live in ChannelControllerBase (sim/engine.h), which the RoMe
+ * controller shares; this class supplies the column-granularity
+ * scheduling, its fault geometry and the walk over its queued ops.
  */
 
 #ifndef ROME_MC_MC_H
@@ -92,9 +93,10 @@ struct McConfig
     /**
      * Fault injection + ECC/recovery (sim/fault.h). The conventional
      * stack evaluates one SEC-DED codeword per 32 B line, so each read
-     * CAS is classified independently. Disabled by default; when
-     * disabled the scheduling path is bit-identical to a faultless
-     * build.
+     * CAS is classified independently; the retry/sparing policy is the
+     * one ChannelControllerBase::recoverRead applies to both stacks.
+     * Disabled by default; when disabled the scheduling path is
+     * bit-identical to a faultless build.
      */
     FaultConfig faults;
     /**
@@ -150,27 +152,10 @@ class ConventionalMc : public ChannelControllerBase
 
   private:
     /** One cache-line-sized column operation. */
-    struct Op
+    struct Op : OpTicket
     {
         DramAddress addr;
-        std::uint64_t reqId;
-        ReqKind kind;
-        Tick arrival;
-        /** The op is its request's only one (completion fast path). */
-        bool singleOp = false;
-        /** Re-read attempts already spent clearing a CE (fault path). */
-        int attempt = 0;
-        /** ECC retry backoff absorbed so far (telemetry breakdown). */
-        Tick retryWait = 0;
-        /** Upstream link delay of the parent request (telemetry). */
-        Tick linkDelay = 0;
-    };
-
-    /** A deferred re-read waiting out its ECC retry backoff. */
-    struct PendingRetry
-    {
-        Op op;
-        Tick readyAt;
+        ReqKind kind = ReqKind::Read;
     };
 
     /** Per-(PC, SID) refresh rotation state (cursor walks the banks). */
@@ -291,8 +276,7 @@ class ConventionalMc : public ChannelControllerBase
     }
     bool stepOnce(Tick until) override;
 
-    /** Telemetry timeline: one span per committed device command. */
-    void installCommandTrace() override;
+    void installCommandTrace() override { dev_.setTrace(commandSpanTrace()); }
 
     // ---- shared helpers ------------------------------------------------
     void updateWriteDrain();
@@ -310,22 +294,18 @@ class ConventionalMc : public ChannelControllerBase
     };
     IdleWake idleWakeTick(Tick adaptive_next) const;
 
-    // ---- reliability (ECC classify / retry / scrub / sparing) -----------
-    /**
-     * Classify the read that just transferred and, on a correctable
-     * error, defer its completion: schedule a bounded-backoff re-read
-     * (or, past the CE sparing threshold, remap the row and replay the
-     * op against the spare). True when the completion was deferred.
-     */
-    bool deferForFault(const Op& op, Tick data_end, bool& poisoned);
-    /** Queue a deferred re-read and track the earliest wake tick. */
-    void queueRetry(Op op, Tick ready_at);
-    /** Re-admit retries whose backoff expired (queue space permitting). */
+    // ---- reliability: the base's recovery path over this stack's ops ---
+    /** One codeword per 32 B line; fault domains are flat banks. */
+    FaultSite
+    faultSite(Op& op) const
+    {
+        return {flatBankIndex(dramCfg_.org, op.addr), &op.addr.row,
+                op.addr.col, 1};
+    }
+    /** Re-admit retries whose backoff expired (read-queue space
+     *  permitting). */
     void pumpRetries();
-    /** Patrol-scrub step piggybacked on an issued refresh. */
-    void runScrub();
-    /** Rewrite queued + retrying ops of a spared row to its new home. */
-    void applySpare(const SpareEvent& ev);
+    void respareQueued(const SpareEvent& ev) override;
 
     // ---- indexed scheduler ---------------------------------------------
     bool stepOnceIndexed(Tick until);
@@ -393,12 +373,8 @@ class ConventionalMc : public ChannelControllerBase
     bool drainingWrites_ = false;
     std::vector<RefreshUnit> refreshUnits_;
 
-    /** Deferred re-reads waiting out their ECC retry backoff (FIFO). */
-    std::vector<PendingRetry> retryQ_;
-    /** Earliest retry readiness (kTickMax when none), for idle wake. */
-    Tick nextRetryAt_ = kTickMax;
-    /** Scratch for scrub-driven spare events (reused across calls). */
-    std::vector<SpareEvent> scrubEvents_;
+    /** Deferred re-reads waiting out their ECC retry backoff. */
+    RetryQueue<Op> retryQ_{[this](Op& op) { return faultSite(op); }};
 
     std::uint64_t casIssued_ = 0;
     Accumulator readQOcc_;

@@ -8,10 +8,8 @@ namespace rome
 {
 
 CommandGenerator::CommandGenerator(const VbaMap& map, ChannelDevice& dev,
-                                   CmdGenPlacement placement,
                                    bool template_lowering)
-    : map_(map), dev_(dev), placement_(placement),
-      templatesEnabled_(template_lowering)
+    : map_(map), dev_(dev), templatesEnabled_(template_lowering)
 {
     const Organization& want = map_.deviceOrganization();
     const Organization& got = dev_.organization();

@@ -57,14 +57,6 @@
 namespace rome
 {
 
-/** Where the command generator sits (§IV-C placement trade-off). */
-enum class CmdGenPlacement
-{
-    InMc,     ///< No C/A pin reduction; minimal DRAM-side change.
-    LogicDie, ///< Adopted: cuts MC↔HBM C/A pins; one generator per channel.
-    DramDie,  ///< Cuts TSVs too, but needs one generator per channel per die.
-};
-
 /** Lowers row-level commands onto a (physical) HBM channel. */
 class CommandGenerator
 {
@@ -78,7 +70,6 @@ class CommandGenerator
      *                exists for parity oracles and benchmarks).
      */
     CommandGenerator(const VbaMap& map, ChannelDevice& dev,
-                     CmdGenPlacement placement = CmdGenPlacement::LogicDie,
                      bool template_lowering = true);
 
     /** Outcome of one lowered row operation. */
@@ -106,8 +97,6 @@ class CommandGenerator
      * generator enforces conventional timing underneath.
      */
     RowOpResult execute(const RowCommand& cmd, Tick not_before);
-
-    CmdGenPlacement placement() const { return placement_; }
 
     /** Row-level commands accepted so far (for energy accounting). */
     std::uint64_t rowCommandsAccepted() const { return rowCmds_; }
@@ -185,7 +174,6 @@ class CommandGenerator
 
     const VbaMap& map_;
     ChannelDevice& dev_;
-    CmdGenPlacement placement_;
     bool templatesEnabled_;
     /** Indexed by RowCmdKind. */
     std::array<OpTemplate, static_cast<std::size_t>(RowCmdKind::NumKinds)>

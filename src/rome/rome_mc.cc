@@ -12,7 +12,7 @@ RomeMc::RomeMc(const DramConfig& base, VbaDesign design, RomeMcConfig cfg,
     : baseCfg_(base), map_(base.org, base.timing, design), cfg_(cfg),
       mapOrder_(map_order), dev_(map_.deviceOrganization(),
                                  map_.deviceTiming()),
-      gen_(map_, dev_, CmdGenPlacement::LogicDie, !cfg.scalarLowering)
+      gen_(map_, dev_, !cfg.scalarLowering)
 {
 #if !ROME_ORACLES
     // The template (vectorized) lowering path stays live either way —
@@ -59,41 +59,12 @@ RomeMc::RomeMc(const DramConfig& base, VbaDesign design, RomeMcConfig cfg,
                          VbaState::Idle);
     // Fault domains are VBAs: every row op touches one whole effective
     // row, protected by a single SEC-DED codeword over all its lines.
-    const int lines_per_row = static_cast<int>(
-        map_.effectiveRowBytes() / baseCfg_.org.columnBytes);
+    linesPerRow_ = static_cast<int>(map_.effectiveRowBytes() /
+                                    baseCfg_.org.columnBytes);
     faults_.configure(cfg_.faults, totalVbas_, map_.rowsPerVba(),
-                      lines_per_row, lines_per_row);
+                      linesPerRow_, linesPerRow_);
     // Telemetry "banks" are VBAs: one stall row per (SID, VBA) key.
     initTelemetry(cfg_.telemetry, totalVbas_);
-}
-
-void
-RomeMc::installCommandTrace()
-{
-    // The generator lowers every row op to device commands; tracing them
-    // gives the literal per-bank schedule, slicing-invariant by
-    // construction.
-    dev_.setTrace([this](Tick when, const Command& cmd,
-                         const ChannelDevice::IssueResult& res) {
-        if (sink_ == nullptr)
-            return;
-        const char* name = "CMD";
-        Tick end = res.bankReadyAt;
-        switch (cmd.kind) {
-          case CmdKind::Act: name = "ACT"; break;
-          case CmdKind::Pre: name = "PRE"; break;
-          case CmdKind::Rd: name = "RD"; end = res.dataUntil; break;
-          case CmdKind::Wr: name = "WR"; end = res.dataUntil; break;
-          case CmdKind::RefPb: name = "REFpb"; break;
-          case CmdKind::RefAb: name = "REFab"; break;
-          default: break;
-        }
-        const int track = cmd.kind == CmdKind::RefAb
-                              ? TelemetrySink::kChannelTrack
-                              : flatBankIndex(map_.deviceOrganization(),
-                                              cmd.addr);
-        sink_->span(name, track, when, end > when ? end - when : 0);
-    });
 }
 
 VbaAddress
@@ -143,6 +114,10 @@ RomeMc::admitOps()
         const std::uint64_t hi = std::min(chunk_lo + eff,
                                           req.addr + req.size);
         RowOp op;
+        op.reqId = req.id;
+        op.arrival = req.arrival;
+        op.linkDelay = req.linkDelay;
+        op.singleOp = total == 1;
         op.cmd.kind = req.kind == ReqKind::Read ? RowCmdKind::RdRow
                                                 : RowCmdKind::WrRow;
         op.cmd.addr = decodeRow(chunk_lo);
@@ -150,11 +125,7 @@ RomeMc::admitOps()
             op.cmd.addr.row = faults_.remappedRow(vbaKey(op.cmd.addr),
                                                   op.cmd.addr.row);
         }
-        op.reqId = req.id;
-        op.arrival = req.arrival;
         op.usefulBytes = hi - lo;
-        op.singleOp = total == 1;
-        op.linkDelay = req.linkDelay;
         queue_.push_back(op);
         ++frontChunk_;
     }
@@ -205,6 +176,30 @@ Tick
 RomeMc::nextRefreshDue() const
 {
     return cfg_.refreshEnabled ? refresh_.due : kTickMax;
+}
+
+Tick
+RomeMc::queueWakeTick() const
+{
+    // A retry or an arrived request enters the queue once its backoff
+    // passed and the queue has room; room only appears when an
+    // outstanding transfer ends.
+    const bool full = queue_.size() + outstanding_.size() >=
+                      static_cast<std::size_t>(cfg_.queueDepth);
+    const auto enter_at = [&](Tick ready) {
+        const Tick at = std::max(ready, now_ + 1);
+        return full ? std::max(at, outstanding_.firstFreeAfter(now_)) : at;
+    };
+    Tick next = kTickMax;
+    if (!retryQ_.empty())
+        next = std::min(next, enter_at(retryQ_.nextAt()));
+    if (!host_.empty())
+        next = std::min(next, enter_at(host_.front().arrival));
+    // A refresh that is already due but blocked wakes when a VBA or an
+    // FSM slot frees, which the caller's busy terms cover.
+    if (nextRefreshDue() > now_)
+        next = std::min(next, nextRefreshDue());
+    return next;
 }
 
 VbaState
@@ -267,7 +262,7 @@ RomeMc::stepOnceIndexed(Tick until)
                 refHighWater_, static_cast<int>(refBusy_.size()));
             refresh_.advance(totalVbas_);
             if (faults_.enabled())
-                runScrub();
+                runScrub(retryQ_);
             return true;
         }
     }
@@ -373,55 +368,12 @@ RomeMc::stepOnceIndexed(Tick until)
         lastRowCmdSid_ = op.cmd.addr.sid;
         lastRowCmdVba_ = op.cmd.addr;
 
-        bool poisoned = false;
-        if (faults_.enabled() && deferForFault(op, res.dataUntil, poisoned)) {
-            // The transfer happened (busy tables and the outstanding CAM
-            // above stand), but the data needs a retry: completion and
-            // byte accounting wait for the attempt that reads clean.
-            return true;
-        }
-
-        if (is_write)
-            bytesWritten_ += op.usefulBytes;
-        else
-            bytesRead_ += op.usefulBytes;
-        overfetch_ += res.bytes - op.usefulBytes;
-
-        if (op.singleOp)
-            noteSingleOpDone(op.reqId, op.arrival, res.dataUntil, poisoned,
-                             op.retryWait, op.linkDelay);
-        else
-            noteOpDone(op.reqId, res.dataUntil, poisoned, op.retryWait);
+        completeRowOp(op, res);
         return true;
     }
 
     // --- Nothing issuable: advance to the next event ----------------------
-    Tick next = kTickMax;
-    if (!retryQ_.empty()) {
-        // A retry re-enters once its backoff passed and the queue has
-        // room; room only appears when an outstanding transfer ends.
-        Tick retry_at = std::max(nextRetryAt_, now_ + 1);
-        if (queue_.size() + outstanding_.size() >=
-            static_cast<std::size_t>(cfg_.queueDepth)) {
-            retry_at = std::max(retry_at,
-                                outstanding_.firstFreeAfter(now_));
-        }
-        next = std::min(next, retry_at);
-    }
-    if (!host_.empty()) {
-        Tick admit_at = std::max(host_.front().arrival, now_ + 1);
-        if (queue_.size() + outstanding_.size() >=
-            static_cast<std::size_t>(cfg_.queueDepth)) {
-            // Admission is queue-bound: wake when the first entry frees.
-            admit_at = std::max(admit_at,
-                                outstanding_.firstFreeAfter(now_));
-        }
-        next = std::min(next, admit_at);
-    }
-    // A refresh that is already due but blocked wakes up when a slot frees
-    // (covered by the deadline-heap tops below).
-    if (nextRefreshDue() > now_)
-        next = std::min(next, nextRefreshDue());
+    Tick next = queueWakeTick();
     next = std::min(next, opBusy_.firstFreeAfter(now_));
     next = std::min(next, refBusy_.firstFreeAfter(now_));
     if (next == kTickMax || next > until) {
@@ -436,7 +388,7 @@ RomeMc::stepOnceIndexed(Tick until)
         if (cfg_.refreshEnabled && now_ >= refresh_.due) {
             cause = StallCause::Refresh;
         } else if (!retryQ_.empty() &&
-                   std::max(nextRetryAt_, now_ + 1) <= next) {
+                   std::max(retryQ_.nextAt(), now_ + 1) <= next) {
             cause = StallCause::RetryBackoff;
         } else if (!host_.empty() &&
                    std::max(host_.front().arrival, now_ + 1) <= next &&
@@ -496,7 +448,7 @@ RomeMc::stepOnceLegacy(Tick until)
                                      busyCount(refSlots_, now_));
             refresh_.advance(totalVbas_);
             if (faults_.enabled())
-                runScrub();
+                runScrub(retryQ_);
             return true;
         }
     }
@@ -578,53 +530,12 @@ RomeMc::stepOnceLegacy(Tick until)
         lastRowCmdSid_ = op.cmd.addr.sid;
         lastRowCmdVba_ = op.cmd.addr;
 
-        bool poisoned = false;
-        if (faults_.enabled() && deferForFault(op, res.dataUntil, poisoned)) {
-            // Transfer happened; completion waits for a clean retry.
-            return true;
-        }
-
-        if (is_write)
-            bytesWritten_ += op.usefulBytes;
-        else
-            bytesRead_ += op.usefulBytes;
-        overfetch_ += res.bytes - op.usefulBytes;
-
-        if (op.singleOp)
-            noteSingleOpDone(op.reqId, op.arrival, res.dataUntil, poisoned,
-                             op.retryWait, op.linkDelay);
-        else
-            noteOpDone(op.reqId, res.dataUntil, poisoned, op.retryWait);
+        completeRowOp(op, res);
         return true;
     }
 
     // --- Nothing issuable: advance to the next event ----------------------
-    Tick next = kTickMax;
-    if (!retryQ_.empty()) {
-        // A retry re-enters once its backoff passed and the queue has
-        // room; room only appears when an outstanding transfer ends.
-        Tick retry_at = std::max(nextRetryAt_, now_ + 1);
-        if (queue_.size() + outstanding_.size() >=
-            static_cast<std::size_t>(cfg_.queueDepth)) {
-            retry_at = std::max(retry_at,
-                                outstanding_.firstFreeAfter(now_));
-        }
-        next = std::min(next, retry_at);
-    }
-    if (!host_.empty()) {
-        Tick admit_at = std::max(host_.front().arrival, now_ + 1);
-        if (queue_.size() + outstanding_.size() >=
-            static_cast<std::size_t>(cfg_.queueDepth)) {
-            // Admission is queue-bound: wake when the first entry frees.
-            admit_at = std::max(admit_at,
-                                outstanding_.firstFreeAfter(now_));
-        }
-        next = std::min(next, admit_at);
-    }
-    // A refresh that is already due but blocked wakes up when a slot frees
-    // (covered by the busyUntil scan below).
-    if (nextRefreshDue() > now_)
-        next = std::min(next, nextRefreshDue());
+    Tick next = queueWakeTick();
     for (const auto* slots : {&opSlots_, &refSlots_}) {
         for (const auto& s : *slots) {
             if (s.busyUntil != kTickInvalid && s.busyUntil > now_)
@@ -650,113 +561,49 @@ RomeMc::stepOnceLegacy(Tick)
 #endif // ROME_ORACLES
 
 // ---------------------------------------------------------------------------
-// Reliability (sim/fault.h)
+// Completion and reliability
 //
 // RoMe's ECC granularity is the whole effective row: one SEC-DED codeword
-// spans every line a row op transfers, so each RD_row is one decode. A
-// corrected error re-reads the row after a backoff; a row that keeps
-// correcting gets spared, and the pending op replays against the new row
-// (completing late, never asserting). Writes are not classified — errors
-// surface on the read that consumes them.
+// spans every line a row op transfers, so each RD_row is one decode
+// (faultSite). The recovery policy is ChannelControllerBase's. Writes are
+// not classified — errors surface on the read that consumes them.
 // ---------------------------------------------------------------------------
 
-bool
-RomeMc::deferForFault(const RowOp& op, Tick data_end, bool& poisoned)
-{
-    if (op.cmd.kind != RowCmdKind::RdRow)
-        return false;
-    const int vba = vbaKey(op.cmd.addr);
-    const int nlines = static_cast<int>(map_.effectiveRowBytes() /
-                                        baseCfg_.org.columnBytes);
-    const EccVerdict v =
-        faults_.classifyRead(vba, op.cmd.addr.row, 0, nlines);
-    if (v != EccVerdict::CorrectedError) {
-        // Clean completes; a DUE completes with the poison bit set so the
-        // serving layer can count per-request poisoned completions.
-        poisoned = v == EccVerdict::UncorrectableError;
-        if (poisoned && sink_ != nullptr)
-            sink_->instant("due", vba, data_end);
-        return false;
-    }
-    if (op.attempt < faults_.config().retryLimit) {
-        RowOp retry = op;
-        ++retry.attempt;
-        queueRetry(retry, faults_.retryReadyAt(data_end, op.attempt));
-        return true;
-    }
-    if (faults_.noteCorrectable(vba, op.cmd.addr.row)) {
-        const SpareEvent ev = faults_.spareRow(vba, op.cmd.addr.row);
-        if (ev.newRow >= 0) {
-            applySpare(ev);
-            RowOp replay = op;
-            replay.cmd.addr.row = ev.newRow;
-            replay.attempt = 0;
-            queueRetry(replay, faults_.retryReadyAt(data_end, 0));
-            return true;
-        }
-    }
-    // Retries exhausted and no spare left: hand the corrected data up.
-    return false;
-}
-
 void
-RomeMc::queueRetry(RowOp op, Tick ready_at)
+RomeMc::completeRowOp(const RowOp& op,
+                      const CommandGenerator::RowOpResult& res)
 {
-    faults_.noteRetry();
-    // Time between the issue decision and the backoff expiry is the
-    // request's retry component, subtracted from its queueing time.
-    if (telemetryOn() && ready_at > now_)
-        op.retryWait += ready_at - now_;
-    if (sink_ != nullptr)
-        sink_->instant("retry", TelemetrySink::kChannelTrack, now_);
-    retryQ_.push_back(PendingRetry{op, ready_at});
-    nextRetryAt_ = std::min(nextRetryAt_, ready_at);
+    const bool is_read = op.cmd.kind == RowCmdKind::RdRow;
+    bool poisoned = false;
+    if (faults_.enabled() && is_read &&
+        recoverRead(op, res.dataUntil, poisoned, retryQ_)) {
+        // The transfer happened (busy tables and the outstanding CAM
+        // stand), but the data needs a retry: completion and byte
+        // accounting wait for the attempt that reads clean.
+        return;
+    }
+    if (is_read)
+        bytesRead_ += op.usefulBytes;
+    else
+        bytesWritten_ += op.usefulBytes;
+    overfetch_ += res.bytes - op.usefulBytes;
+    handOff(op, res.dataUntil, poisoned);
 }
 
 void
 RomeMc::pumpRetries()
 {
-    if (retryQ_.empty())
-        return;
     const auto depth = static_cast<std::size_t>(cfg_.queueDepth);
-    Tick next = kTickMax;
-    std::size_t w = 0;
-    for (std::size_t i = 0; i < retryQ_.size(); ++i) {
-        const PendingRetry r = retryQ_[i];
-        if (r.readyAt <= now_ &&
-            queue_.size() + outstanding_.size() < depth) {
-            queue_.push_back(r.op);
-            continue;
-        }
-        next = std::min(next, std::max(r.readyAt, now_ + 1));
-        retryQ_[w++] = r;
-    }
-    retryQ_.resize(w);
-    nextRetryAt_ = next;
+    retryQ_.pump(
+        now_, [&] { return queue_.size() + outstanding_.size() < depth; },
+        [&](const RowOp& op) { queue_.push_back(op); });
 }
 
 void
-RomeMc::runScrub()
+RomeMc::respareQueued(const SpareEvent& ev)
 {
-    scrubEvents_.clear();
-    faults_.scrub(scrubEvents_);
-    for (const SpareEvent& ev : scrubEvents_)
-        applySpare(ev);
-}
-
-void
-RomeMc::applySpare(const SpareEvent& ev)
-{
-    if (sink_ != nullptr)
-        sink_->instant("spare", ev.bank, now_);
-    const auto rewrite = [&](RowOp& op) {
-        if (op.cmd.addr.row == ev.oldRow && vbaKey(op.cmd.addr) == ev.bank)
-            op.cmd.addr.row = ev.newRow;
-    };
     for (RowOp& op : queue_)
-        rewrite(op);
-    for (PendingRetry& r : retryQ_)
-        rewrite(r.op);
+        faultSite(op).respare(ev);
 }
 
 double
@@ -871,12 +718,7 @@ RomeMc::saveCheckpoint(CheckpointWriter& w) const
     w.putI64(refresh_.due);
     w.putI32(refresh_.cursor);
 
-    w.putCount(retryQ_.size());
-    for (const PendingRetry& p : retryQ_) {
-        put_row_op(p.op);
-        w.putI64(p.readyAt);
-    }
-    w.putI64(nextRetryAt_);
+    retryQ_.saveState(w, put_row_op);
 
     w.putU64(overfetch_);
     w.putI32(opHighWater_);
@@ -886,12 +728,25 @@ RomeMc::saveCheckpoint(CheckpointWriter& w) const
 void
 RomeMc::restoreCheckpoint(CheckpointReader& r)
 {
-    const auto get_row_op = [&r]() {
-        RowOp op{};
-        op.cmd.kind = static_cast<RowCmdKind>(r.getU8());
+    // Every restored op, VBA state and the refresh rotation is checked
+    // before use: the schedulers index per-VBA tables by them.
+    const int sids = map_.deviceOrganization().sidsPerChannel;
+    const auto get_row_op = [&]() {
+        RowOp op;
+        const std::uint8_t kind = r.getU8();
+        if (kind != static_cast<std::uint8_t>(RowCmdKind::RdRow) &&
+            kind != static_cast<std::uint8_t>(RowCmdKind::WrRow))
+            fatal("rome checkpoint: bad row-op kind %u", kind);
+        op.cmd.kind = static_cast<RowCmdKind>(kind);
         op.cmd.addr.sid = r.getI32();
         op.cmd.addr.vba = r.getI32();
         op.cmd.addr.row = r.getI32();
+        const VbaAddress& a = op.cmd.addr;
+        if (a.sid < 0 || a.sid >= sids || a.vba < 0 ||
+            a.vba >= map_.vbasPerSid() || a.row < 0 ||
+            a.row >= map_.rowsPerVba())
+            fatal("rome checkpoint: row-op address %s out of range",
+                  a.str().c_str());
         op.reqId = r.getU64();
         op.arrival = r.getI64();
         op.usefulBytes = r.getU64();
@@ -901,12 +756,18 @@ RomeMc::restoreCheckpoint(CheckpointReader& r)
         op.linkDelay = r.getI64();
         return op;
     };
-    const auto get_slot = [&r](FsmSlot& s) {
+    const auto get_state = [&r]() {
+        const std::uint8_t state = r.getU8();
+        if (state >= kNumRomeVbaStates)
+            fatal("rome checkpoint: bad VBA state %u", state);
+        return static_cast<VbaState>(state);
+    };
+    const auto get_slot = [&](FsmSlot& s) {
         s.vba.sid = r.getI32();
         s.vba.vba = r.getI32();
         s.vba.row = r.getI32();
         s.busyUntil = r.getI64();
-        s.state = static_cast<VbaState>(r.getU8());
+        s.state = get_state();
     };
 
     loadBaseState(r);
@@ -933,7 +794,7 @@ RomeMc::restoreCheckpoint(CheckpointReader& r)
     for (Tick& t : vbaBusyUntil_)
         t = r.getI64();
     for (VbaState& s : vbaBusyState_)
-        s = static_cast<VbaState>(r.getU8());
+        s = get_state();
 
     lastRowCmdAt_ = r.getI64();
     lastRowCmdWasWrite_ = r.getBool();
@@ -951,18 +812,15 @@ RomeMc::restoreCheckpoint(CheckpointReader& r)
     refresh_.interval = r.getI64();
     refresh_.due = r.getI64();
     refresh_.cursor = r.getI32();
+    if (refresh_.interval <= 0 || refresh_.cursor < 0 ||
+        refresh_.cursor >= totalVbas_)
+        fatal("rome checkpoint: bad refresh rotation");
 
-    retryQ_.resize(r.getCount());
-    for (PendingRetry& p : retryQ_) {
-        p.op = get_row_op();
-        p.readyAt = r.getI64();
-    }
-    nextRetryAt_ = r.getI64();
+    retryQ_.loadState(r, get_row_op);
 
     overfetch_ = r.getU64();
     opHighWater_ = r.getI32();
     refHighWater_ = r.getI32();
-    scrubEvents_.clear();
 }
 
 } // namespace rome

@@ -16,9 +16,10 @@
  * Requests are split into effective-row-sized (4 KB) operations; partially
  * covered rows are transferred whole and counted as overfetch.
  *
- * Host-request admission, in-flight/completion accounting, and the
- * runUntil/drain loop live in ChannelControllerBase (sim/engine.h), shared
- * with the conventional controller.
+ * Host-request admission, in-flight/completion accounting, the
+ * runUntil/drain loop and the read-recovery path (ECC retry, sparing,
+ * scrub) live in ChannelControllerBase (sim/engine.h), shared with the
+ * conventional controller.
  */
 
 #ifndef ROME_ROME_ROME_MC_H
@@ -97,7 +98,8 @@ struct RomeMcConfig
     /**
      * Reliability model (sim/fault.h). RoMe protects the whole effective
      * row with one SEC-DED codeword, so every row op is classified as one
-     * ECC decode over all its lines.
+     * ECC decode over all its lines; the retry/sparing policy is the one
+     * ChannelControllerBase::recoverRead applies to both stacks.
      */
     FaultConfig faults;
     /**
@@ -166,28 +168,10 @@ class RomeMc : public ChannelControllerBase
 
   private:
     /** One queued row operation. */
-    struct RowOp
+    struct RowOp : OpTicket
     {
         RowCommand cmd;
-        std::uint64_t reqId;
-        Tick arrival;
-        std::uint64_t usefulBytes;
-        /** The op is its request's only one (completion fast path). */
-        bool singleOp = false;
-        /** Fault-retry attempt count (0 = first issue). */
-        int attempt = 0;
-        /** Accumulated retry backoff (telemetry breakdown component). */
-        Tick retryWait = 0;
-        /** Upstream link transit inherited from the request (telemetry). */
-        Tick linkDelay = 0;
-    };
-
-    /** A row op awaiting its fault-retry backoff before re-entering the
-     *  queue. */
-    struct PendingRetry
-    {
-        RowOp op;
-        Tick readyAt;
+        std::uint64_t usefulBytes = 0;
     };
 
     /** An FSM slot tracking an in-flight row operation or refresh. */
@@ -207,24 +191,29 @@ class RomeMc : public ChannelControllerBase
     bool stepOnce(Tick until) override;
     bool stepOnceLegacy(Tick until);
     bool stepOnceIndexed(Tick until);
-    void installCommandTrace() override;
+    /** Recovery, byte accounting and hand-off of an issued row op. */
+    void completeRowOp(const RowOp& op,
+                       const CommandGenerator::RowOpResult& res);
+    void installCommandTrace() override { dev_.setTrace(commandSpanTrace()); }
 
     bool vbaBusy(const VbaAddress& a, Tick at) const;
     int busyCount(const std::vector<FsmSlot>& slots, Tick at) const;
     void retireSlots(Tick at);
     Tick nextRefreshDue() const;
+    /** Idle-step wake from the queue side: the next retry re-entry,
+     *  admission or refresh due time (kTickMax when none). */
+    Tick queueWakeTick() const;
 
-    // ---- reliability (sim/fault.h) --------------------------------------
-    /** Classify a completed read against the fault model; returns true if
-     *  the completion was deferred (retry or spare-replay queued). */
-    bool deferForFault(const RowOp& op, Tick data_end, bool& poisoned);
-    void queueRetry(RowOp op, Tick ready_at);
+    // ---- reliability: the base's recovery path over this stack's ops ---
+    /** One codeword per effective row; fault domains are VBAs. */
+    FaultSite
+    faultSite(RowOp& op) const
+    {
+        return {vbaKey(op.cmd.addr), &op.cmd.addr.row, 0, linesPerRow_};
+    }
     /** Move backoff-expired retries back into the request queue. */
     void pumpRetries();
-    /** Run the patrol-scrub slice that rides on an issued refresh. */
-    void runScrub();
-    /** Rewrite queued and retrying ops after a row got spared. */
-    void applySpare(const SpareEvent& ev);
+    void respareQueued(const SpareEvent& ev) override;
 
     // ---- deadline-heap slot accounting (indexed scheduler) --------------
     int vbaKey(const VbaAddress& a) const
@@ -269,10 +258,10 @@ class RomeMc : public ChannelControllerBase
     RefreshRotation refresh_;
     int totalVbas_ = 0;
 
-    /** Fault retries waiting out their backoff (unordered; scanned). */
-    std::vector<PendingRetry> retryQ_;
-    Tick nextRetryAt_ = kTickMax;
-    std::vector<SpareEvent> scrubEvents_;
+    /** 32 B lines per effective row: the span of one ECC codeword. */
+    int linesPerRow_ = 0;
+    /** Fault retries waiting out their backoff. */
+    RetryQueue<RowOp> retryQ_{[this](RowOp& op) { return faultSite(op); }};
 
     std::uint64_t overfetch_ = 0;
     int opHighWater_ = 0;

@@ -105,18 +105,6 @@ ControllerStats::deriveBandwidths()
 // ---------------------------------------------------------------------------
 
 void
-IMemoryController::bindSource(RequestSource* src)
-{
-    // Fallback for controllers without native streaming (e.g. composite
-    // routers): eagerly drain the source into the host buffer.
-    if (src == nullptr)
-        return;
-    Request r;
-    while (src->next(r))
-        enqueue(r);
-}
-
-void
 IMemoryController::saveCheckpoint(CheckpointWriter& w) const
 {
     (void)w;
@@ -339,6 +327,32 @@ ChannelControllerBase::noteSingleOpDone(std::uint64_t req_id, Tick arrival,
     }
 }
 
+std::function<void(Tick, const Command&, const ChannelDevice::IssueResult&)>
+ChannelControllerBase::commandSpanTrace() const
+{
+    const Organization& org = device().organization();
+    return [this, &org](Tick when, const Command& cmd,
+                        const ChannelDevice::IssueResult& res) {
+        if (sink_ == nullptr)
+            return;
+        const char* name = "CMD";
+        Tick end = res.bankReadyAt;
+        switch (cmd.kind) {
+          case CmdKind::Act: name = "ACT"; break;
+          case CmdKind::Pre: name = "PRE"; break;
+          case CmdKind::Rd: name = "RD"; end = res.dataUntil; break;
+          case CmdKind::Wr: name = "WR"; end = res.dataUntil; break;
+          case CmdKind::RefPb: name = "REFpb"; break;
+          case CmdKind::RefAb: name = "REFab"; break;
+          default: break;
+        }
+        const int track = cmd.kind == CmdKind::RefAb
+                              ? TelemetrySink::kChannelTrack
+                              : flatBankIndex(org, cmd.addr);
+        sink_->span(name, track, when, end > when ? end - when : 0);
+    };
+}
+
 void
 ChannelControllerBase::initTelemetry(const TelemetryConfig& cfg,
                                      int num_banks)
@@ -485,9 +499,15 @@ getRequest(CheckpointReader& r)
 {
     Request q;
     q.id = r.getU64();
-    q.kind = static_cast<ReqKind>(r.getU8());
+    const std::uint8_t kind = r.getU8();
+    if (kind != static_cast<std::uint8_t>(ReqKind::Read) &&
+        kind != static_cast<std::uint8_t>(ReqKind::Write))
+        fatal("checkpoint: bad host request kind %u", kind);
+    q.kind = static_cast<ReqKind>(kind);
     q.addr = r.getU64();
     q.size = r.getU64();
+    if (q.size == 0)
+        fatal("checkpoint: zero-size host request");
     q.arrival = r.getI64();
     q.linkDelay = r.getI64();
     return q;
@@ -566,6 +586,17 @@ ChannelControllerBase::loadBaseState(CheckpointReader& r)
     for (std::size_t i = 0; i < nhost; ++i)
         host_.push_back(getRequest(r));
     frontChunk_ = r.getU64();
+    // Admission resumes at chunk frontChunk_ of the front request; past
+    // its last chunk, admitOps could neither admit nor pop the request.
+    if (frontChunk_ != 0) {
+        const std::uint64_t chunk = admissionChunkBytes();
+        const Request* front = host_.empty() ? nullptr : &host_.front();
+        if (front == nullptr ||
+            frontChunk_ > (front->addr + front->size - 1) / chunk -
+                              front->addr / chunk)
+            fatal("checkpoint: admission chunk %llu past the front request",
+                  static_cast<unsigned long long>(frontChunk_));
+    }
     inflight_.clear();
     const std::size_t ninflight = r.getCount();
     for (std::size_t i = 0; i < ninflight; ++i) {
@@ -573,6 +604,9 @@ ChannelControllerBase::loadBaseState(CheckpointReader& r)
         ReqState st{};
         st.arrival = r.getI64();
         st.opsRemaining = r.getI32();
+        if (st.opsRemaining < 1)
+            fatal("checkpoint: in-flight request with %d ops left",
+                  st.opsRemaining);
         st.poisoned = r.getBool();
         st.firstIssue = r.getI64();
         st.retryTicks = r.getI64();

@@ -313,7 +313,7 @@ splitNodeStream(RequestSource& system, const NodeConfig& cfg)
     out.routedBytes.assign(cubes, 0);
     const auto deal = [&](int cube, const Request& r) {
         const auto c = static_cast<std::size_t>(cube);
-        // ShardSource's key: the address stripe, else the slice's index
+        // The channel key: the address stripe, else the slice's index
         // within its cube's stream.
         const std::uint64_t key = cfg.stripeBytes != 0
                                       ? r.addr / cfg.stripeBytes

@@ -303,8 +303,8 @@ struct NodeStreams
  * (skipped when routing is the identity: one cube behind the ideal
  * link); each slice goes to the channel its address stripe selects when
  * cfg.stripeBytes is set, otherwise to channel (slice index within its
- * cube's stream) mod channelsPerCube — ShardSource's assignment. Each
- * channel's slices keep their stream order.
+ * cube's stream) mod channelsPerCube. Each channel's slices keep their
+ * stream order.
  */
 NodeStreams splitNodeStream(RequestSource& system, const NodeConfig& cfg);
 

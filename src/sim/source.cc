@@ -500,60 +500,4 @@ trimWindow(std::unique_ptr<RequestSource> source, std::uint64_t skip_n,
     return source;
 }
 
-// ---------------------------------------------------------------------------
-// ShardSource
-// ---------------------------------------------------------------------------
-
-ShardSource::ShardSource(std::unique_ptr<RequestSource> inner, int shard,
-                         int num_shards, std::uint64_t stripe_bytes)
-    : inner_(std::move(inner)), shard_(shard), shards_(num_shards),
-      stripeBytes_(stripe_bytes)
-{
-    if (!inner_)
-        fatal("shard source needs an inner source");
-    if (num_shards < 1 || shard < 0 || shard >= num_shards)
-        fatal("shard %d of %d out of range", shard, num_shards);
-}
-
-bool
-ShardSource::produce(Request& out)
-{
-    Request r;
-    while (inner_->next(r)) {
-        const std::uint64_t key =
-            stripeBytes_ ? r.addr / stripeBytes_ : index_;
-        ++index_;
-        if (key % static_cast<std::uint64_t>(shards_) ==
-            static_cast<std::uint64_t>(shard_)) {
-            out = r;
-            return true;
-        }
-    }
-    return false;
-}
-
-void
-ShardSource::rewind()
-{
-    inner_->reset();
-    index_ = 0;
-}
-
-std::vector<std::unique_ptr<RequestSource>>
-shardAcrossChannels(const SourceFactory& make_system, int num_channels,
-                    std::uint64_t stripe_bytes)
-{
-    if (!make_system)
-        fatal("shardAcrossChannels needs a system source factory");
-    if (num_channels < 1)
-        fatal("shardAcrossChannels needs at least one channel");
-    std::vector<std::unique_ptr<RequestSource>> shards;
-    shards.reserve(static_cast<std::size_t>(num_channels));
-    for (int ch = 0; ch < num_channels; ++ch) {
-        shards.push_back(std::make_unique<ShardSource>(
-            make_system(), ch, num_channels, stripe_bytes));
-    }
-    return shards;
-}
-
 } // namespace rome

@@ -34,7 +34,11 @@
  *  - ArrivalProcess  — open-loop arrival shaping (fixed-rate, Poisson,
  *                      bursty) over any inner source.
  *  - MixSource       — arrival-ordered merge of several tenants' sources.
- *  - ShardSource     — per-channel shard of a system-wide source.
+ *  - RepeatSource / TakeSource / SkipSource — loop, cap or skip into an
+ *                      inner source (trimWindow composes the last two).
+ *
+ * Splitting a system-wide stream into per-channel streams is the node
+ * driver's one-pass splitNodeStream (sim/node.h).
  */
 
 #ifndef ROME_SIM_SOURCE_H
@@ -478,31 +482,6 @@ class SkipSource final : public RequestSource
 };
 
 /**
- * One channel's shard of a system-wide stream: yields only the requests
- * assigned to @p shard of @p num_shards. With stripe_bytes == 0 requests
- * are dealt round-robin by index; otherwise the request's address stripe
- * (addr / stripe_bytes) selects the shard, modeling system-level
- * channel interleaving.
- */
-class ShardSource final : public RequestSource
-{
-  public:
-    ShardSource(std::unique_ptr<RequestSource> inner, int shard,
-                int num_shards, std::uint64_t stripe_bytes = 0);
-
-  protected:
-    bool produce(Request& out) override;
-    void rewind() override;
-
-  private:
-    std::unique_ptr<RequestSource> inner_;
-    int shard_;
-    int shards_;
-    std::uint64_t stripeBytes_;
-    std::uint64_t index_ = 0;
-};
-
-/**
  * Carve a window out of @p source: drop the first @p skip_n requests,
  * then pass through at most @p take_n. Sugar for the SkipSource +
  * TakeSource composition every trimming call site was spelling by hand —
@@ -512,21 +491,6 @@ class ShardSource final : public RequestSource
 std::unique_ptr<RequestSource>
 trimWindow(std::unique_ptr<RequestSource> source, std::uint64_t skip_n,
            std::uint64_t take_n);
-
-/**
- * Shard one system-wide stream across the channels of a cube: element i
- * of the result is ShardSource i of @p num_channels over a fresh instance
- * of @p make_system. Together the shards cover the system stream exactly
- * once (disjoint and complete — asserted by tests/test_serving.cc), so
- * binding shard i to channel i of a ChannelSimEngine drives the whole
- * cube with system-level offered load. Each shard regenerates the stream
- * independently, which keeps channels free of shared mutable state — the
- * property that makes the multi-channel drive embarrassingly parallel
- * and thread-count-invariant.
- */
-std::vector<std::unique_ptr<RequestSource>>
-shardAcrossChannels(const SourceFactory& make_system, int num_channels,
-                    std::uint64_t stripe_bytes = 0);
 
 } // namespace rome
 

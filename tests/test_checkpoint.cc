@@ -635,6 +635,147 @@ TEST(Checkpoint, CorruptedDeviceRecordsAreFatal)
         reqs, "rome");
 }
 
+/** Overwrite @p width little-endian bytes of @p v at @p at in @p blob. */
+void
+putAt(std::vector<std::uint8_t>& blob, std::size_t at, std::uint64_t v,
+      int width)
+{
+    for (int k = 0; k < width; ++k)
+        blob[at + static_cast<std::size_t>(k)] =
+            static_cast<std::uint8_t>(v >> (8 * k));
+}
+
+/** Offset of the first of the @p hits occurrences of @p id in @p blob. */
+std::size_t
+findU64(const std::vector<std::uint8_t>& blob, std::uint64_t id, int hits)
+{
+    std::size_t at = blob.size();
+    int found = 0;
+    for (std::size_t i = 0; i + 8 <= blob.size(); ++i) {
+        if (getU64At(blob, i) == id && found++ == 0)
+            at = i;
+    }
+    EXPECT_EQ(found, hits) << std::hex << id;
+    return at;
+}
+
+TEST(Checkpoint, CorruptedRomeRecordsAreFatal)
+{
+    // A read to a stuck row waits out a long ECC retry backoff, a second
+    // read is still queued behind the Table III gap, and a two-row write
+    // arriving later sits in the host window (and the in-flight map).
+    // Each is found in the blob by its request id; the refresh rotation
+    // and the VBA state table are located from the retry queue, the
+    // blob's last variable section.
+    const DramConfig dram = hbm4Config();
+    RomeMcConfig cfg;
+    cfg.refreshEnabled = false;
+    cfg.faults.enabled = true;
+    cfg.faults.stuckRowFraction = 1.0;
+    cfg.faults.stuckDueFraction = 0.0;
+    cfg.faults.scrubEnabled = false;
+    cfg.faults.retryBackoffTicks = 100_us;
+    const auto make = [&] {
+        return std::make_unique<RomeMc>(dram, VbaDesign::adopted(), cfg);
+    };
+    auto mc = make();
+    const std::uint64_t row = mc->vbaMap().effectiveRowBytes();
+    const std::uint64_t retried = 0x7e7c0de000000001ull;
+    const std::uint64_t queued = 0x7e7c0de000000002ull;
+    const std::uint64_t hosted = 0x7e7c0de000000003ull;
+    mc->enqueue({retried, ReqKind::Read, 0, row, 0});
+    mc->enqueue({queued, ReqKind::Read, row, row, 0});
+    mc->enqueue({hosted, ReqKind::Write, 2 * row, 2 * row, 1_us});
+    mc->runUntil(0);
+    const auto blob = saveControllerCheckpoint(*mc);
+
+    // Row op: kind u8, sid/vba/row i32, then the request id.
+    const std::size_t retry_op = findU64(blob, retried, 1) - 13;
+    const std::size_t queued_op = findU64(blob, queued, 1) - 13;
+    // Host request: id u64, kind u8, addr/size u64, arrival/link i64;
+    // then the admission chunk u64 and the in-flight map: count, id,
+    // arrival i64, ops left i32.
+    const std::size_t host_req = findU64(blob, hosted, 2);
+    ASSERT_LT(retry_op, blob.size());
+    ASSERT_LT(queued_op, blob.size());
+    ASSERT_LT(host_req, blob.size());
+    const std::size_t front_chunk = host_req + 41;
+    const std::size_t ops_left = host_req + 73;
+    ASSERT_EQ(getU64At(blob, front_chunk), 0u);
+    ASSERT_EQ(getU64At(blob, front_chunk + 16), hosted);
+    ASSERT_EQ(blob[ops_left], 2);
+    // Retry queue: count, then its one (op, ready tick); before it the
+    // refresh rotation (interval i64, due i64, cursor i32), and before
+    // that the last-command record (tick i64, write u8, sid i32, then a
+    // present VBA: u8 + three i32) after the per-VBA state bytes.
+    const std::size_t retry_count = retry_op - 8;
+    ASSERT_EQ(getU64At(blob, retry_count), 1u);
+    const std::size_t cursor = retry_count - 4;
+    const std::size_t interval = retry_count - 20;
+    const VbaMap& map = mc->vbaMap();
+    const auto vbas = static_cast<std::size_t>(
+        map.vbasPerSid() * map.deviceOrganization().sidsPerChannel);
+    const std::size_t states = interval - 26 - vbas;
+    ASSERT_EQ(getU64At(blob, states - 8 * vbas - 8), vbas);
+    ASSERT_EQ(blob[states],
+              static_cast<std::uint8_t>(VbaState::Reading)); // VBA (0, 0)
+    ASSERT_EQ(blob[queued_op], static_cast<std::uint8_t>(RowCmdKind::RdRow));
+
+    {
+        auto twin = make();
+        restoreControllerCheckpoint(*twin, blob); // the intact blob loads
+        mc->drain();
+        twin->drain();
+        EXPECT_TRUE(mc->stats() == twin->stats());
+        EXPECT_GT(twin->stats().retryCount, 0u);
+    }
+    struct Mutation
+    {
+        const char* what;
+        std::size_t at;
+        std::uint64_t value;
+        int width;
+    };
+    const auto i32 = [](std::int64_t v) {
+        return static_cast<std::uint64_t>(static_cast<std::uint32_t>(v));
+    };
+    const Mutation mutations[] = {
+        {"queued op kind REF", queued_op,
+         static_cast<std::uint64_t>(RowCmdKind::Ref), 1},
+        {"queued op kind unknown", queued_op, 9, 1},
+        {"queued op SID", queued_op + 1,
+         i32(map.deviceOrganization().sidsPerChannel), 4},
+        {"queued op negative VBA", queued_op + 5, i32(-1), 4},
+        {"queued op VBA", queued_op + 5, i32(map.vbasPerSid()), 4},
+        {"queued op row", queued_op + 9, i32(map.rowsPerVba()), 4},
+        {"queued op negative row", queued_op + 9, i32(-1), 4},
+        {"retry op kind REF", retry_op,
+         static_cast<std::uint64_t>(RowCmdKind::Ref), 1},
+        {"retry op VBA", retry_op + 5, i32(map.vbasPerSid()), 4},
+        {"retry op negative SID", retry_op + 1, i32(-3), 4},
+        {"negative refresh cursor", cursor, i32(-1), 4},
+        {"refresh cursor past the VBAs", cursor, i32(vbas), 4},
+        {"zero refresh interval", interval, 0, 8},
+        {"negative refresh interval", interval,
+         static_cast<std::uint64_t>(-5), 8},
+        {"VBA state", states, 4, 1},
+        {"last VBA state", states + vbas - 1, 200, 1},
+        {"host request size 0", host_req + 17, 0, 8},
+        {"host request kind", host_req + 8, 2, 1},
+        {"admission chunk past the front request", front_chunk, 2, 8},
+        {"no ops left in flight", ops_left, 0, 4},
+        {"negative ops left in flight", ops_left, i32(-1), 4},
+    };
+    for (const Mutation& m : mutations) {
+        auto bad = blob;
+        putAt(bad, m.at, m.value, m.width);
+        auto twin = make();
+        EXPECT_THROW(restoreControllerCheckpoint(*twin, bad),
+                     std::runtime_error)
+            << m.what;
+    }
+}
+
 TEST(Checkpoint, ResumedSourceMustReplayTheStream)
 {
     const DramConfig dram = hbm4Config();

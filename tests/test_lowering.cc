@@ -74,7 +74,7 @@ struct GenRig
 {
     explicit GenRig(const VbaMap& map, bool templates)
         : dev(map.deviceOrganization(), map.deviceTiming()),
-          gen(map, dev, CmdGenPlacement::LogicDie, templates)
+          gen(map, dev, templates)
     {
         dev.setTrace([this](Tick at, const Command& c) {
             trace.push_back(Lowered{at, c.kind, c.addr});
@@ -435,7 +435,7 @@ TEST(TemplateBulkCommit, MatchesPerCommandReplayFromRandomStates)
     for (const auto& d : VbaDesign::all()) {
         const VbaMap map(cfg.org, cfg.timing, d);
         ChannelDevice dev(map.deviceOrganization(), map.deviceTiming());
-        CommandGenerator scalar(map, dev, CmdGenPlacement::LogicDie, false);
+        CommandGenerator scalar(map, dev, false);
         const CommandGenerator gen(map, dev);
         BulkRig rig(dev);
         Tick now = 0;

@@ -2,9 +2,9 @@
  * @file
  * Serving-harness tests: LatencyHistogram percentiles against a
  * sorted-vector oracle, exact/associative merging, histogram plumbing
- * through ControllerStats::merge and the hybrid router, shard-by-channel
- * coverage, ServingDriver thread-count determinism, and saturation-knee
- * detection of the rate sweep on a synthetic overload.
+ * through ControllerStats::merge and the hybrid router, the Repeat/Take
+ * source combinators, ServingDriver thread-count determinism, and
+ * saturation-knee detection of the rate sweep on a synthetic overload.
  */
 
 #include <gtest/gtest.h>
@@ -206,49 +206,8 @@ TEST(ServingStats, HybridRouterMergesPartitionHistograms)
 }
 
 // ---------------------------------------------------------------------------
-// Shard-by-channel coverage
+// Source combinators
 // ---------------------------------------------------------------------------
-
-TEST(ServingShards, EveryRequestLandsOnExactlyOneChannel)
-{
-    RandomPattern p;
-    p.requestBytes = 4_KiB;
-    p.totalBytes = 999 * p.requestBytes;
-    p.capacity = 1ull << 30;
-    const SourceFactory system = [p] {
-        return std::make_unique<RandomSource>(p);
-    };
-    RandomSource whole(p);
-    const std::vector<Request> all = collectRequests(whole);
-
-    for (const std::uint64_t stripe : {std::uint64_t{0}, 8_KiB}) {
-        const int n = 5;
-        auto shards = shardAcrossChannels(system, n, stripe);
-        ASSERT_EQ(shards.size(), static_cast<std::size_t>(n));
-        std::vector<int> owner(all.size(), -1);
-        for (int ch = 0; ch < n; ++ch) {
-            Request r;
-            while (shards[static_cast<std::size_t>(ch)]->next(r)) {
-                ASSERT_GE(r.id, 1u);
-                ASSERT_LE(r.id, all.size());
-                const std::size_t idx = static_cast<std::size_t>(r.id - 1);
-                // Disjoint: no request appears on two channels.
-                EXPECT_EQ(owner[idx], -1);
-                owner[idx] = ch;
-                EXPECT_EQ(r.addr, all[idx].addr);
-                // Assignment rule: round-robin by index or by stripe.
-                const std::uint64_t key =
-                    stripe ? all[idx].addr / stripe : idx;
-                EXPECT_EQ(static_cast<int>(
-                              key % static_cast<std::uint64_t>(n)),
-                          ch);
-            }
-        }
-        // Complete: every request was yielded by some shard.
-        for (const int ch : owner)
-            EXPECT_NE(ch, -1);
-    }
-}
 
 TEST(ServingShards, RepeatAndTakeCombinators)
 {

@@ -132,11 +132,6 @@ TEST(Source, DeterministicReplayAfterReset)
         RandomPattern{32_KiB, 2_KiB, cap}));
     MixSource mix(std::move(parts));
     check(mix);
-
-    ShardSource shard(std::make_unique<StreamSource>(
-                          StreamPattern{64_KiB, 4_KiB}),
-                      1, 4);
-    check(shard);
 }
 
 TEST(Source, LookaheadPeeksWithoutConsuming)
@@ -407,37 +402,6 @@ TEST(Source, MixMergesByArrivalAndReassignsIds)
         EXPECT_EQ(reqs[i].arrival, static_cast<Tick>(i) * 50);
         EXPECT_EQ(reqs[i].addr >= 1_MiB, i % 2 == 1);
     }
-}
-
-TEST(Source, ShardsPartitionTheStream)
-{
-    const int shards = 4;
-    StreamSource whole(StreamPattern{256_KiB, 4_KiB});
-    const auto all = collectRequests(whole);
-
-    std::vector<Request> merged;
-    for (int s = 0; s < shards; ++s) {
-        ShardSource shard(std::make_unique<StreamSource>(
-                              StreamPattern{256_KiB, 4_KiB}),
-                          s, shards);
-        const auto part = collectRequests(shard);
-        EXPECT_EQ(part.size(), all.size() / shards);
-        for (std::size_t i = 0; i < part.size(); ++i) {
-            // Round-robin deal: shard s yields items s, s+4, s+8, ...
-            const auto& expect =
-                all[i * shards + static_cast<std::size_t>(s)];
-            EXPECT_TRUE(sameRequest(part[i], expect));
-        }
-        merged.insert(merged.end(), part.begin(), part.end());
-    }
-    EXPECT_EQ(merged.size(), all.size());
-
-    // Address-stripe mode: shard of every request is its addr stripe.
-    ShardSource striped(std::make_unique<StreamSource>(
-                            StreamPattern{256_KiB, 4_KiB}),
-                        2, shards, 4_KiB);
-    for (const auto& r : collectRequests(striped))
-        EXPECT_EQ(r.addr / 4_KiB % shards, 2u);
 }
 
 TEST(Source, PackedRequestsRoundTripExtremeValues)
