@@ -46,7 +46,9 @@ namespace rome
 // the op lists and rebuilds the index from them.
 // v5: the device's command-bus calendars store busy spans as (from, until)
 // pairs instead of one entry per slot start.
-inline constexpr std::uint32_t kCheckpointVersion = 5;
+// v6: a conventional op-pool node holds a run of column ops: its head op
+// plus (count, seq stride) after the head seq.
+inline constexpr std::uint32_t kCheckpointVersion = 6;
 
 /** Envelope magic ("RMCK" little-endian). */
 inline constexpr std::uint32_t kCheckpointMagic = 0x4b434d52u;

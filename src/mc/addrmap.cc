@@ -67,12 +67,23 @@ AddressMapping::AddressMapping(const Organization& org,
                   widths[static_cast<int>(f)], fieldWidth(org_, f));
         }
     }
+    // A stepping stride exists when the column bits form one field.
+    int below = 0;
+    int col_fields = 0;
+    for (const auto& s : spec_) {
+        if (s.field == AddrField::Col)
+            ++col_fields;
+        else if (col_fields == 0)
+            below += s.bits;
+    }
+    if (col_fields == 1)
+        colStrideLines_ = 1ULL << below;
 }
 
 DramAddress
-AddressMapping::decode(std::uint64_t addr) const
+AddressMapping::decodeLine(std::uint64_t line) const
 {
-    std::uint64_t v = addr >> colOffsetBits_;
+    std::uint64_t v = line;
     DramAddress out;
     int colShift = 0;
     for (const auto& s : spec_) {

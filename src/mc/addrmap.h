@@ -42,7 +42,44 @@ class AddressMapping
                    std::string name);
 
     /** Decode a byte address (the intra-column offset is dropped). */
-    DramAddress decode(std::uint64_t addr) const;
+    DramAddress
+    decode(std::uint64_t addr) const
+    {
+        return decodeLine(lineOf(addr));
+    }
+
+    /** Line (column-sized address unit) holding byte address @p addr. */
+    std::uint64_t
+    lineOf(std::uint64_t addr) const
+    {
+        return addr >> colOffsetBits_;
+    }
+
+    /** Decode line @p line, i.e. byte address line * column bytes. */
+    DramAddress decodeLine(std::uint64_t line) const;
+
+    /**
+     * Lines (column-sized address units) between consecutive columns of
+     * one bank row: 2^(bits mapped below the column field). 0 when the
+     * column field is split, so no single stride exists.
+     */
+    std::uint64_t columnStrideLines() const { return colStrideLines_; }
+
+    /**
+     * Step @p a, the decode of some line L, to the decode of line
+     * L + columnStrideLines() without decoding: only the column advances.
+     * Returns false, leaving @p a unchanged, when the column would wrap
+     * into the fields above it or the column field is split; the caller
+     * then decodes.
+     */
+    bool
+    stepColumn(DramAddress& a) const
+    {
+        if (colStrideLines_ == 0 || a.col + 1 >= org_.columnsPerRow())
+            return false;
+        ++a.col;
+        return true;
+    }
 
     /** Human-readable mapping name, e.g. "RoSiBaBgCoPc". */
     const std::string& name() const { return name_; }
@@ -54,6 +91,7 @@ class AddressMapping
     std::vector<AddrFieldSpec> spec_;
     std::string name_;
     int colOffsetBits_;
+    std::uint64_t colStrideLines_ = 0;
 };
 
 /**

@@ -30,6 +30,18 @@ constexpr int kRankReadOp = 1;
 constexpr int kRankWriteOp = 2;
 constexpr int kRankIdlePre = 3;
 
+/** Largest seq gap a run stores between consecutive ops. */
+constexpr std::uint64_t kMaxSeqStride = 1u << 30;
+
+/** Two ops carry the same completion ticket (request, timing, retry). */
+bool
+sameTicket(const OpTicket& a, const OpTicket& b)
+{
+    return a.reqId == b.reqId && a.arrival == b.arrival &&
+           a.retryWait == b.retryWait && a.linkDelay == b.linkDelay &&
+           a.attempt == b.attempt && a.singleOp == b.singleOp;
+}
+
 /** Last activity of an open bank (adaptive idle-timeout reference). */
 Tick
 bankLastUse(const BankRecord& rec)
@@ -73,6 +85,9 @@ ConventionalMc::ConventionalMc(const DramConfig& cfg, AddressMapping mapping,
             }
         }
     }
+    const std::uint64_t stride = map_.columnStrideLines();
+    if (stride != 0 && stride <= kMaxLanes)
+        lanes_.resize(stride);
     if (!cfg_.legacyScheduler) {
         const int nbanks = cfg.org.banksPerChannel();
         bankIx_.resize(static_cast<std::size_t>(nbanks));
@@ -162,29 +177,23 @@ ConventionalMc::admitOps()
     const auto& outstanding = is_read ? readOutstanding_ : writeOutstanding_;
     const auto depth = static_cast<std::size_t>(
         is_read ? cfg_.readQueueDepth : cfg_.writeQueueDepth);
-    const std::uint64_t col = dramCfg_.org.columnBytes;
-    const std::uint64_t first_line = req.addr / col;
-    const std::uint64_t last_line = (req.addr + req.size - 1) / col;
-    const std::uint64_t total = last_line - first_line + 1;
-
     const auto queued = [&] {
         return is_read ? readQueueSize() : writeQueueSize();
     };
+    if (queued() + outstanding.size() >= depth)
+        return false; // the front request always has a chunk left
+    const std::uint64_t first_line = map_.lineOf(req.addr);
+    const std::uint64_t total =
+        map_.lineOf(req.addr + req.size - 1) - first_line + 1;
+
+    Op op;
+    op.reqId = req.id;
+    op.arrival = req.arrival;
+    op.linkDelay = req.linkDelay;
+    op.singleOp = total == 1;
+    op.kind = req.kind;
     while (frontChunk_ < total && queued() + outstanding.size() < depth) {
-        const std::uint64_t line = first_line + frontChunk_;
-        Op op;
-        op.reqId = req.id;
-        op.arrival = req.arrival;
-        op.linkDelay = req.linkDelay;
-        op.singleOp = total == 1;
-        op.addr = map_.decode(line * col);
-        op.kind = req.kind;
-        if (faults_.enabled()) {
-            // Spared rows are remapped at admission so every queued op
-            // carries the physical row it will access.
-            op.addr.row = faults_.remappedRow(
-                flatBankIndex(dramCfg_.org, op.addr), op.addr.row);
-        }
+        op.addr = lineAddress(first_line + frontChunk_);
         if (cfg_.legacyScheduler)
             (is_read ? readQ_ : writeQ_).push_back(op);
         else
@@ -197,6 +206,29 @@ ConventionalMc::admitOps()
         return true;
     }
     return false;
+}
+
+DramAddress
+ConventionalMc::lineAddress(std::uint64_t line)
+{
+    if (lanes_.empty())
+        return physicalAddress(map_.decodeLine(line));
+    const std::uint64_t n = lanes_.size();
+    Lane& lane = lanes_[static_cast<std::size_t>(line & (n - 1))];
+    if (lane.line != line - n || !map_.stepColumn(lane.addr))
+        lane.addr = physicalAddress(map_.decodeLine(line));
+    lane.line = line;
+    return lane.addr;
+}
+
+DramAddress
+ConventionalMc::physicalAddress(DramAddress a) const
+{
+    // Spared rows are remapped at admission so every queued op carries
+    // the physical row it will access.
+    if (faults_.enabled())
+        a.row = faults_.remappedRow(flatBankIndex(dramCfg_.org, a), a.row);
+    return a;
 }
 
 void
@@ -251,6 +283,9 @@ ConventionalMc::pumpRetries()
 void
 ConventionalMc::respareQueued(const SpareEvent& ev)
 {
+    // Lanes cache physical rows, which this event just changed.
+    for (Lane& lane : lanes_)
+        lane.line = kNoLine;
     if (cfg_.legacyScheduler) {
         for (Op& op : readQ_)
             faultSite(op).respare(ev);
@@ -258,6 +293,7 @@ ConventionalMc::respareQueued(const SpareEvent& ev)
             faultSite(op).respare(ev);
         return;
     }
+    // Every op of a run shares its row, so the run moves as a whole.
     BankEntry& e = bankIx_[static_cast<std::size_t>(ev.bank)];
     for (BankList* l : {&e.read, &e.write}) {
         for (int i = l->head; i != -1;
@@ -335,8 +371,43 @@ ConventionalMc::candRankLess(const Candidate& a, const Candidate& b)
 }
 
 void
-ConventionalMc::insertOpIndexed(Op op)
+ConventionalMc::insertOpIndexed(const Op& op)
 {
+    const int bank = flatBankIndex(dramCfg_.org, op.addr);
+    BankEntry& e = bankIx_[static_cast<std::size_t>(bank)];
+    const bool is_write = op.kind == ReqKind::Write;
+    BankList& l = is_write ? e.write : e.read;
+    const std::uint64_t seq = admitSeq_++;
+    ++l.count;
+    if (is_write)
+        ++writeCount_;
+    else
+        ++readCount_;
+    const BankRecord& rec = dev_.bankRecord(bank);
+    const bool hit = rec.open() && rec.openRow == op.addr.row;
+
+    if (l.tail != -1) {
+        // The op continues the tail run when it carries the same ticket
+        // and row, takes the next column and keeps the run's seq stride.
+        // It then shares the run's arrival and hit state, so the hit rep,
+        // arrival bound, ordering, CAS entry and row worklist all stand.
+        OpNode& t = pool_[static_cast<std::size_t>(l.tail)];
+        if (t.op.addr.row == op.addr.row &&
+            t.op.addr.col + t.count == op.addr.col && sameTicket(t.op, op)) {
+            const std::uint64_t gap =
+                seq - (t.seq + static_cast<std::uint64_t>(t.count - 1) *
+                                   static_cast<std::uint64_t>(t.seqStride));
+            if (t.count == 1 && gap <= kMaxSeqStride)
+                t.seqStride = static_cast<int>(gap);
+            if (gap == static_cast<std::uint64_t>(t.seqStride)) {
+                ++t.count;
+                if (hit)
+                    ++l.hitCount;
+                return;
+            }
+        }
+    }
+
     int node;
     if (!freeNodes_.empty()) {
         node = freeNodes_.back();
@@ -347,13 +418,11 @@ ConventionalMc::insertOpIndexed(Op op)
     }
     OpNode& n = pool_[static_cast<std::size_t>(node)];
     n.op = op;
-    n.seq = admitSeq_++;
-    n.bank = flatBankIndex(dramCfg_.org, op.addr);
+    n.seq = seq;
+    n.count = 1;
+    n.seqStride = 0;
+    n.bank = bank;
     n.prev = n.next = -1;
-
-    BankEntry& e = bankIx_[static_cast<std::size_t>(n.bank)];
-    const bool is_write = op.kind == ReqKind::Write;
-    BankList& l = is_write ? e.write : e.read;
     if (l.tail == -1) {
         l.head = l.tail = node;
     } else {
@@ -364,14 +433,7 @@ ConventionalMc::insertOpIndexed(Op op)
         n.prev = l.tail;
         l.tail = node;
     }
-    ++l.count;
-    if (is_write)
-        ++writeCount_;
-    else
-        ++readCount_;
-
-    const BankRecord& rec = dev_.bankRecord(n.bank);
-    if (rec.open() && rec.openRow == op.addr.row) {
+    if (hit) {
         ++l.hitCount;
         if (l.hitRep == -1 ||
             op.arrival <
@@ -381,17 +443,35 @@ ConventionalMc::insertOpIndexed(Op op)
     }
     if (op.arrival < l.minArrivalLb)
         l.minArrivalLb = op.arrival;
-    syncCasEntry(l, n.bank, is_write);
-    syncRowWork(n.bank);
+    syncCasEntry(l, bank, is_write);
+    syncRowWork(bank);
 }
 
 void
-ConventionalMc::removeOpIndexed(int node)
+ConventionalMc::removeHeadOp(int node)
 {
     OpNode& n = pool_[static_cast<std::size_t>(node)];
     BankEntry& e = bankIx_[static_cast<std::size_t>(n.bank)];
     const bool is_write = n.op.kind == ReqKind::Write;
     BankList& l = is_write ? e.write : e.read;
+    --l.count;
+    if (is_write)
+        --writeCount_;
+    else
+        --readCount_;
+    const BankRecord& rec = dev_.bankRecord(n.bank);
+    if (rec.open() && rec.openRow == n.op.addr.row)
+        --l.hitCount;
+
+    if (--n.count > 0) {
+        // The run's next op becomes its head. It has the same arrival and
+        // row and the next seq, so it is the list's next-best op exactly
+        // where the consumed one was: only the CAS-list key moves.
+        ++n.op.addr.col;
+        n.seq += static_cast<std::uint64_t>(n.seqStride);
+        syncCasEntry(l, n.bank, is_write);
+        return;
+    }
 
     if (n.prev != -1)
         pool_[static_cast<std::size_t>(n.prev)].next = n.next;
@@ -401,15 +481,6 @@ ConventionalMc::removeOpIndexed(int node)
         pool_[static_cast<std::size_t>(n.next)].prev = n.prev;
     else
         l.tail = n.prev;
-    --l.count;
-    if (is_write)
-        --writeCount_;
-    else
-        --readCount_;
-
-    const BankRecord& rec = dev_.bankRecord(n.bank);
-    if (rec.open() && rec.openRow == n.op.addr.row)
-        --l.hitCount;
     if (l.count == 0) {
         l.hitRep = -1;
         l.minArrivalLb = kTickMax;
@@ -449,7 +520,7 @@ ConventionalMc::rescanList(BankList& l, int open_row)
         const OpNode& n = pool_[static_cast<std::size_t>(i)];
         min_arr = std::min(min_arr, n.op.arrival);
         if (open_row >= 0 && n.op.addr.row == open_row) {
-            ++l.hitCount;
+            l.hitCount += n.count;
             if (l.hitRep == -1 ||
                 n.op.arrival <
                     pool_[static_cast<std::size_t>(l.hitRep)].op.arrival) {
@@ -476,10 +547,13 @@ ConventionalMc::reindexBankRow(int bank)
 void
 ConventionalMc::syncCasEntry(BankList& l, int bank, bool is_write)
 {
-    // A listed entry always names a live op (every removal syncs before
-    // its node can be reused), so an unchanged node id is an unchanged rep.
+    // A listed entry always names a live run (every removal syncs before
+    // its node can be reused), so an unchanged node id and head seq is an
+    // unchanged rep.
     const int rep = l.hitRep;
-    if (l.listed ? rep == l.entry.node : rep == -1)
+    if (l.listed ? rep == l.entry.node &&
+                       pool_[static_cast<std::size_t>(rep)].seq == l.entry.seq
+                 : rep == -1)
         return;
     auto& list = casLists_[static_cast<std::size_t>(
         bankIx_[static_cast<std::size_t>(bank)].addr.pc)];
@@ -880,7 +954,7 @@ ConventionalMc::stepOnceIndexed(Tick until)
     } else if (best.cmd.kind == CmdKind::Rd ||
                best.cmd.kind == CmdKind::Wr) {
         const Op op = pool_[static_cast<std::size_t>(best.opIndex)].op;
-        removeOpIndexed(best.opIndex);
+        removeHeadOp(best.opIndex);
         (best.isWrite ? writeOutstanding_ : readOutstanding_)
             .push(res.dataUntil);
         ++casIssued_;
@@ -1287,6 +1361,8 @@ ConventionalMc::saveCheckpoint(CheckpointWriter& w) const
     for (const OpNode& n : pool_) {
         put_op(n.op);
         w.putU64(n.seq);
+        w.putI32(n.count);
+        w.putI32(n.seqStride);
         w.putI32(n.bank);
         w.putI32(n.prev);
         w.putI32(n.next);
@@ -1368,6 +1444,8 @@ ConventionalMc::restoreCheckpoint(CheckpointReader& r)
     for (OpNode& n : pool_) {
         n.op = get_op();
         n.seq = r.getU64();
+        n.count = r.getI32();
+        n.seqStride = r.getI32();
         n.bank = r.getI32();
         n.prev = r.getI32();
         n.next = r.getI32();
@@ -1402,6 +1480,8 @@ ConventionalMc::restoreCheckpoint(CheckpointReader& r)
 
     casIssued_ = r.getU64();
     readQOcc_.loadState(r);
+    for (Lane& lane : lanes_)
+        lane.line = kNoLine; // the restored fault state may remap rows
     if (!cfg_.legacyScheduler)
         rebuildIndex();
 }
@@ -1411,9 +1491,14 @@ ConventionalMc::rebuildIndex()
 {
     // Every restored link is range- and consistency-checked before use:
     // each bank list must walk from head to tail through in-range,
-    // not-yet-seen nodes of that bank and queue, with matching back links
-    // and count; the free list must cover exactly the remaining nodes.
+    // not-yet-seen nodes of that bank and queue, with matching back links;
+    // each run must hold at least one op, fit its row's columns, and have
+    // a positive seq stride when longer than one op; the runs' seqs must
+    // rise along the list and stay below the next admission seq, and
+    // their op counts must sum to the list's count; the free list must
+    // cover exactly the remaining nodes.
     const int npool = static_cast<int>(pool_.size());
+    const int cols = dramCfg_.org.columnsPerRow();
     std::vector<char> seen(pool_.size(), 0);
     readCount_ = writeCount_ = 0;
     for (int b = 0; b < static_cast<int>(bankIx_.size()); ++b) {
@@ -1421,7 +1506,8 @@ ConventionalMc::rebuildIndex()
         for (const bool is_write : {false, true}) {
             BankList& l = is_write ? e.write : e.read;
             int prev = -1;
-            int walked = 0;
+            std::uint64_t next_seq = 0; // lowest seq the next run may take
+            long long walked = 0;
             for (int i = l.head; i != -1;
                  i = pool_[static_cast<std::size_t>(i)].next) {
                 if (i < 0 || i >= npool || seen[static_cast<std::size_t>(i)])
@@ -1432,16 +1518,28 @@ ConventionalMc::rebuildIndex()
                     flatBankIndex(dramCfg_.org, n.op.addr) != b ||
                     (n.op.kind == ReqKind::Write) != is_write)
                     fatal("hbm4 checkpoint: op node %d is mislinked", i);
+                if (n.count <= 0 || n.count > cols - n.op.addr.col ||
+                    (n.count > 1 && n.seqStride <= 0))
+                    fatal("hbm4 checkpoint: op run %d has bad shape", i);
+                // Last seq of the run, checked below admitSeq_ without
+                // overflowing.
+                const auto span = static_cast<std::uint64_t>(n.count - 1) *
+                                  static_cast<std::uint64_t>(
+                                      std::max(n.seqStride, 0));
+                if (n.seq < next_seq || n.seq >= admitSeq_ ||
+                    admitSeq_ - n.seq <= span)
+                    fatal("hbm4 checkpoint: op run %d seqs out of order", i);
+                next_seq = n.seq + span + 1;
                 if (prev != -1 &&
                     n.op.arrival <
                         pool_[static_cast<std::size_t>(prev)].op.arrival)
                     l.ordered = false;
                 prev = i;
-                ++walked;
+                walked += n.count;
             }
             if (prev != l.tail || walked != l.count)
                 fatal("hbm4 checkpoint: bank %d op list is inconsistent", b);
-            (is_write ? writeCount_ : readCount_) += walked;
+            (is_write ? writeCount_ : readCount_) += l.count;
         }
     }
     for (const int n : freeNodes_) {

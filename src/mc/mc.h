@@ -9,10 +9,17 @@
  *
  * Two scheduler implementations produce bit-identical command streams:
  *
- *  - The *indexed* scheduler (default) keeps every queued column op in a
- *    pooled node linked into its bank's per-queue FIFO list, with per-bank
- *    summaries (queued-op counts, open-row hit counts, hit
- *    representatives, oldest-arrival bounds) maintained incrementally on
+ *  - The *indexed* scheduler (default) keeps the queued column ops as
+ *    runs: a pooled node holds a maximal set of consecutive ops of one
+ *    bank queue with the same ticket (one request, or one ECC re-read),
+ *    row and kind and consecutive columns, as the head op plus (count,
+ *    head seq, seq stride), and is linked into its bank's per-queue FIFO
+ *    list. Admission decodes one line per lane, steps the others'
+ *    columns (AddressMapping::stepColumn) and extends the list's tail run
+ *    in O(1); a CAS consumes a run's head op, and the node leaves its
+ *    list only when the run empties. Per-bank summaries (queued-op
+ *    counts, open-row hit counts, hit representatives, oldest-arrival
+ *    bounds) count ops and are maintained incrementally on
  *    admit/issue/row change/sparing. One per-bank sync after each change
  *    keeps two rank-ordered candidate structures current: per pseudo
  *    channel, a list of the banks' RD and WR hit representatives sorted
@@ -26,7 +33,9 @@
  *  - The *legacy* scheduler (McConfig::legacyScheduler) is the seed
  *    FR-FCFS loop that rebuilds its whole candidate set from the flat
  *    queues every step. It is retained as the decision-order oracle: the
- *    parity tests assert ControllerStats equality between the two.
+ *    parity tests assert equal ControllerStats, command streams and
+ *    completion logs between the two, and recorded golden digests pin
+ *    the indexed scheduler in builds without the oracle.
  *
  * The controller drives one ChannelDevice; every command it emits is
  * re-validated by the device against the full timing rule set.
@@ -138,10 +147,10 @@ class ConventionalMc : public ChannelControllerBase
     ControllerStats stats() const override;
 
     /**
-     * Checkpoint the full mutable controller + device state (queued ops
-     * with their per-bank list links, refresh rotations, retry/fault
+     * Checkpoint the full mutable controller + device state (queued op
+     * runs with their per-bank list links, refresh rotations, retry/fault
      * state, statistics). Restore range- and consistency-checks every
-     * restored index and op address (fatal on a bad one), rebuilds the
+     * restored index, op address and run (fatal on a bad one), rebuilds the
      * derived scheduling index, and then continues bit-identically to a
      * run that never checkpointed (every ControllerStats field compared
      * by operator==). The restore target must be constructed with the
@@ -195,11 +204,19 @@ class ConventionalMc : public ChannelControllerBase
 
     // ---- incremental per-bank scheduling index -------------------------
 
-    /** Pooled node of one queued op, linked into its bank's FIFO list. */
+    /**
+     * Pooled node of one run of queued ops, linked into its bank's FIFO
+     * list. Op i of the run (0 = head) is `op` with column op.addr.col + i
+     * and admission seq `seq + i * seqStride`; the ops share every other
+     * field, so the head's (arrival, read/write, seq) key is exactly the
+     * one its op would have on its own.
+     */
     struct OpNode
     {
-        Op op;
-        std::uint64_t seq = 0; ///< admission order (== flat-queue position)
+        Op op;                 ///< the run's head op
+        std::uint64_t seq = 0; ///< head admission order (== flat-queue pos)
+        int count = 1;         ///< ops in the run, >= 1
+        int seqStride = 0;     ///< seq gap between consecutive ops
         int bank = -1;         ///< flat bank index
         int prev = -1;
         int next = -1;
@@ -230,7 +247,8 @@ class ConventionalMc : public ChannelControllerBase
         }
     };
 
-    /** One bank's per-queue FIFO list plus its incremental summary. */
+    /** One bank's per-queue FIFO list of runs plus its incremental
+     *  summary (counts are ops, not runs). */
     struct BankList
     {
         int head = -1;
@@ -238,7 +256,8 @@ class ConventionalMc : public ChannelControllerBase
         int count = 0;
         /** Ops hitting the currently open row (meaningful while open). */
         int hitCount = 0;
-        /** Min-(arrival, seq) hit op — the bank's best CAS candidate. */
+        /** Run holding the min-(arrival, seq) hit op — the bank's best
+         *  CAS candidate is its head. */
         int hitRep = -1;
         /**
          * Lower bound on the oldest arrival queued here (aged-QoS gate);
@@ -247,10 +266,11 @@ class ConventionalMc : public ChannelControllerBase
         Tick minArrivalLb = kTickMax;
         /**
          * Arrivals are non-decreasing in list (= admission) order, so the
-         * hit rep is the first hit in list order and its successor is
-         * found walking forward from it. Cleared by an out-of-order
-         * insert (an ECC retry re-admission), set again when the list
-         * empties; while cleared, losing the rep rescans the list.
+         * hit rep is the first hit run in list order and, once the run
+         * empties, its successor is found walking forward from it.
+         * Cleared by an out-of-order insert (an ECC retry re-admission),
+         * set again when the list empties; while cleared, losing the rep
+         * rescans the list.
          */
         bool ordered = true;
         /** The CAS-list entry of hitRep, when one is listed. */
@@ -307,10 +327,18 @@ class ConventionalMc : public ChannelControllerBase
     void pumpRetries();
     void respareQueued(const SpareEvent& ev) override;
 
+    /** Physical address of @p line: stepped from its admission lane's
+     *  previous line when only the column moved, else decoded. */
+    DramAddress lineAddress(std::uint64_t line);
+    /** @p a with its row remapped to a spare when faults are on. */
+    DramAddress physicalAddress(DramAddress a) const;
+
     // ---- indexed scheduler ---------------------------------------------
     bool stepOnceIndexed(Tick until);
-    void insertOpIndexed(Op op);
-    void removeOpIndexed(int node);
+    /** Queue @p op: extend its list's tail run, or start a new one. */
+    void insertOpIndexed(const Op& op);
+    /** Consume the head op of run @p node (its CAS issued). */
+    void removeHeadOp(int node);
     /** Rebuild a bank's hit summaries after its open row changed. */
     void reindexBankRow(int bank);
     void rescanList(BankList& l, int open_row);
@@ -340,6 +368,22 @@ class ConventionalMc : public ChannelControllerBase
     AddressMapping map_;
     McConfig cfg_;
     ChannelDevice dev_;
+
+    /**
+     * Admission lanes (line mod the mapping's column stride, when that
+     * stride is at most kMaxLanes): the last line admitted on each and its
+     * physical address. A lane's next line only advances the column, so
+     * it is stepped, not decoded. Cleared by sparing (the row is
+     * physical) and on restore; not checkpointed.
+     */
+    static constexpr std::uint64_t kNoLine = 1ULL << 63;
+    static constexpr std::uint64_t kMaxLanes = 64;
+    struct Lane
+    {
+        std::uint64_t line = kNoLine;
+        DramAddress addr;
+    };
+    std::vector<Lane> lanes_;
 
     // Legacy flat queues (used only when cfg_.legacyScheduler).
     std::vector<Op> readQ_;

@@ -1,7 +1,8 @@
 /**
  * @file
  * Address-mapping tests: bijectivity over the channel space, interleaving
- * order of the presets, and configuration validation.
+ * order of the presets, column stepping against decode, and configuration
+ * validation.
  */
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <set>
 #include <tuple>
 
+#include "common/random.h"
 #include "dram/hbm4_config.h"
 #include "mc/addrmap.h"
 
@@ -96,6 +98,65 @@ TEST(AddrMap, PathologicalMappingThrashesRows)
     const DramAddress a1 = m.decode(64);
     EXPECT_TRUE(a0.sameBank(a1));
     EXPECT_NE(a0.row, a1.row);
+}
+
+TEST(AddrMap, LineStepMatchesDecode)
+{
+    // Admission steps each line of a request from the line one column
+    // stride earlier instead of decoding it. The step must equal decode
+    // on every line it accepts and refuse exactly at the column wrap.
+    const Organization org = hbm4Config().org;
+    const std::uint64_t line = org.columnBytes;
+    const std::uint64_t lines = org.channelCapacity() / line;
+    // PC; PC+BG; PC; PC+BG+bank; PC; PC+row bits below the column.
+    const std::uint64_t strides[] = {2, 8, 2, 32, 2, 1ULL << 14};
+    Rng rng(11);
+    std::size_t i = 0;
+    for (const AddressMapping& m : standardMappings(org)) {
+        const std::uint64_t s = m.columnStrideLines();
+        EXPECT_EQ(s, strides[i++]) << m.name();
+        int steps = 0;
+        int wraps = 0;
+        const auto check = [&](std::uint64_t l) {
+            DramAddress a = m.decode(l * line);
+            const DramAddress from = a;
+            const DramAddress want = m.decode((l + s) * line);
+            if (m.stepColumn(a)) {
+                ++steps;
+                EXPECT_EQ(key(a), key(want)) << m.name() << " line " << l;
+            } else {
+                ++wraps;
+                EXPECT_EQ(from.col, org.columnsPerRow() - 1) << m.name();
+                EXPECT_EQ(key(a), key(from)) << m.name();
+                EXPECT_FALSE(from.sameBank(want) && from.row == want.row)
+                    << m.name() << " line " << l;
+            }
+        };
+        // Every line of random 2-16 KB requests (many cross a wrap).
+        for (int r = 0; r < 100; ++r) {
+            const std::uint64_t n = 64 + rng.below(449);
+            const std::uint64_t first = rng.below(lines - n);
+            for (std::uint64_t l = first; l + s < first + n; ++l)
+                check(l);
+        }
+        // Random lines anywhere, so the widest stride is stepped too.
+        for (int r = 0; r < 2000; ++r)
+            check(rng.below(lines - s));
+        EXPECT_GT(steps, 0) << m.name();
+        EXPECT_GT(wraps, 0) << m.name();
+    }
+
+    // A split column field has no single stride: never stepped.
+    const AddressMapping split(org,
+                               {{AddrField::Pc, 1}, {AddrField::Col, 2},
+                                {AddrField::Bg, 2}, {AddrField::Col, 3},
+                                {AddrField::Bank, 2}, {AddrField::Sid, 2},
+                                {AddrField::Row, 13}},
+                               "split");
+    EXPECT_EQ(split.columnStrideLines(), 0u);
+    DramAddress a = split.decode(0);
+    EXPECT_FALSE(split.stepColumn(a));
+    EXPECT_EQ(key(a), key(split.decode(0)));
 }
 
 TEST(AddrMap, MisconfiguredWidthsAreFatal)

@@ -411,10 +411,10 @@ TEST(Checkpoint, CorruptedOpListIndexIsFatal)
         return at;
     };
     // Pool node layout after the request id: kind u8, arrival i64,
-    // singleOp u8, attempt i32, retryWait i64, linkDelay i64, seq u64,
-    // then bank, prev and next as i32.
+    // singleOp u8, attempt i32, retryWait i64, linkDelay i64, head seq
+    // u64, then run count, seq stride, bank, prev and next as i32.
     const auto field = [](std::size_t id_at, int which) {
-        return id_at + 46 + 4 * static_cast<std::size_t>(which);
+        return id_at + 54 + 4 * static_cast<std::size_t>(which);
     };
     const std::size_t n0 = find_id(id0);
     const std::size_t n1 = find_id(id1);
@@ -615,6 +615,96 @@ expectCorruptDeviceFieldsAreFatal(MakeMc make,
     putU64At(swapped, from1, f0);
     putU64At(swapped, until1, u0);
     expect_fatal("unsorted spans", swapped);
+}
+
+TEST(Checkpoint, CorruptedOpRunIsFatal)
+{
+    // Two 1 KiB reads of consecutive addresses fill the same eight bank
+    // rows: under RoSiBaCoBgPc every 8th line is the next column of one
+    // bank row, so each request leaves one four-op run (seq stride 8) in
+    // each of eight read lists, request 1's run behind request 0's. Every
+    // single corrupted run field must be refused on restore.
+    const DramConfig dram = hbm4Config();
+    const auto make = [&] {
+        return std::make_unique<ConventionalMc>(
+            dram, bestBaselineMapping(dram.org), McConfig{});
+    };
+    auto mc = make();
+    const std::uint64_t id0 = 0x5a17c0de00000011ull;
+    const std::uint64_t id1 = 0x5a17c0de00000012ull;
+    mc->enqueue({id0, ReqKind::Read, 0, 1_KiB, 0});
+    mc->enqueue({id1, ReqKind::Read, 1_KiB, 1_KiB, 0});
+    mc->runUntil(0); // both admitted, no CAS yet
+    const auto blob = saveControllerCheckpoint(*mc);
+
+    // The pool is the last place an id is saved (after the in-flight
+    // requests), in node order: an id's first of its last eight hits is
+    // its run in the bank of line 0 (node 0 or node 8).
+    const auto first_id = [&blob](std::uint64_t id) {
+        std::vector<std::size_t> hits;
+        for (std::size_t i = 0; i + 8 <= blob.size(); ++i) {
+            if (getU64At(blob, i) == id)
+                hits.push_back(i);
+        }
+        EXPECT_GE(hits.size(), 8u) << std::hex << id;
+        return hits.size() < 8 ? blob.size() : hits[hits.size() - 8];
+    };
+    const std::size_t a = first_id(id0);
+    const std::size_t b = first_id(id1);
+    ASSERT_LT(a, blob.size());
+    ASSERT_LT(b, blob.size());
+    const auto get_i32 = [&blob](std::size_t at) {
+        return static_cast<std::int32_t>(getU64At(blob, at) & 0xffffffffu);
+    };
+    // After the id: 30 bytes of ticket and kind, the head seq, then count,
+    // stride and bank.
+    const auto seq_at = [](std::size_t id_at) { return id_at + 38; };
+    const auto count_at = [](std::size_t id_at) { return id_at + 46; };
+    const auto stride_at = [](std::size_t id_at) { return id_at + 50; };
+    ASSERT_EQ(getU64At(blob, seq_at(a)), 0u);
+    ASSERT_EQ(get_i32(count_at(a)), 4);
+    ASSERT_EQ(get_i32(stride_at(a)), 8);
+    ASSERT_EQ(getU64At(blob, seq_at(b)), 32u);
+    ASSERT_EQ(get_i32(count_at(b)), 4);
+    ASSERT_EQ(get_i32(stride_at(b)), 8);
+
+    {
+        auto twin = make();
+        restoreControllerCheckpoint(*twin, blob); // the intact blob loads
+        mc->drain();
+        twin->drain();
+        EXPECT_TRUE(mc->stats() == twin->stats());
+    }
+    struct Mutation
+    {
+        const char* what;
+        std::size_t at;
+        std::uint64_t value;
+        int bytes;
+    };
+    const Mutation mutations[] = {
+        {"zero run count", count_at(a), 0, 4},
+        {"negative run count", count_at(a), static_cast<std::uint32_t>(-3),
+         4},
+        {"run past the row's last column", count_at(b), 29, 4},
+        {"zero stride", stride_at(a), 0, 4},
+        {"negative stride", stride_at(a), static_cast<std::uint32_t>(-8), 4},
+        {"runs overlap", stride_at(a), 11, 4},
+        {"runs out of order", seq_at(b), 1, 8},
+        {"seq at the admission counter", seq_at(b), 64, 8},
+        {"seq near the top of u64", seq_at(b), ~0ull - 7, 8},
+        {"run counts disagree with the list", count_at(a), 3, 4},
+    };
+    for (const Mutation& m : mutations) {
+        auto bad = blob;
+        for (int k = 0; k < m.bytes; ++k)
+            bad[m.at + static_cast<std::size_t>(k)] =
+                static_cast<std::uint8_t>(m.value >> (8 * k));
+        auto twin = make();
+        EXPECT_THROW(restoreControllerCheckpoint(*twin, bad),
+                     std::runtime_error)
+            << m.what;
+    }
 }
 
 TEST(Checkpoint, CorruptedDeviceRecordsAreFatal)

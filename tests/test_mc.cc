@@ -7,14 +7,18 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "common/random.h"
 #include "dram/hbm4_config.h"
 #include "mc/mc.h"
 #include "sim/engine.h"
+#include "sim/trace.h"
 #include "sim/workloads.h"
 
-// Parity/golden tests drive the legacy scheduler as their decision
-// oracle; perf builds compile it out (-DROME_ORACLES=OFF) and skip.
+// Parity tests drive the legacy scheduler as their decision oracle; perf
+// builds compile it out (-DROME_ORACLES=OFF) and skip them. The golden
+// digests below need no oracle and run in every build.
 #if ROME_ORACLES
 #define REQUIRE_ORACLES() ((void)0)
 #else
@@ -282,16 +286,91 @@ TEST(ConventionalMc, ComplexityMatchesTableIV)
 // scheduler, which preserves the pre-refactor decision order.
 // ---------------------------------------------------------------------------
 
-ControllerStats
-runConv(const McConfig& cfg, const std::vector<Request>& reqs,
-        bool pathological_mapping = false)
+/**
+ * What a run produced: its stats, plus FNV-1a hashes of the device
+ * command stream (tick, kind, full address of every committed command)
+ * and of the completion log (request id, finish tick, poison flag).
+ */
+struct RunDigest
 {
-    const DramConfig dram = hbm4Config();
-    const AddressMapping mapping = pathological_mapping
-                                       ? standardMappings(dram.org).back()
-                                       : bestBaselineMapping(dram.org);
-    ConventionalMc mc(dram, mapping, cfg);
-    return runWorkload(mc, reqs);
+    ControllerStats stats;
+    std::uint64_t commands = 0;
+    std::uint64_t commandHash = 0;
+    std::uint64_t completionHash = 0;
+
+    bool
+    operator==(const RunDigest& o) const
+    {
+        return stats == o.stats && commands == o.commands &&
+               commandHash == o.commandHash &&
+               completionHash == o.completionHash;
+    }
+};
+
+/** 64-bit FNV-1a over little-endian words. */
+struct Fnv1a
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+
+    void
+    add(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    }
+};
+
+RunDigest
+runDigest(const McConfig& cfg, const std::vector<Request>& reqs,
+          const AddressMapping& mapping)
+{
+    ConventionalMc mc(hbm4Config(), mapping, cfg);
+    RunDigest d;
+    Fnv1a cmds;
+    // The controller owns its device mutably; the test taps its trace.
+    const_cast<ChannelDevice&>(mc.device())
+        .setTrace([&](Tick at, const Command& c) {
+            const DramAddress& a = c.addr;
+            cmds.add(static_cast<std::uint64_t>(at));
+            cmds.add(static_cast<std::uint64_t>(c.kind));
+            for (const int f : {a.pc, a.sid, a.bg, a.bank, a.row, a.col})
+                cmds.add(static_cast<std::uint64_t>(f));
+            ++d.commands;
+        });
+    d.stats = runWorkload(mc, reqs);
+    d.commandHash = cmds.h;
+    Fnv1a done;
+    for (const Completion& c : mc.completions()) {
+        done.add(c.id);
+        done.add(static_cast<std::uint64_t>(c.finished));
+        done.add(c.poisoned ? 1 : 0);
+    }
+    d.completionHash = done.h;
+    return d;
+}
+
+RunDigest
+runConvDigest(const McConfig& cfg, const std::vector<Request>& reqs,
+              bool pathological_mapping = false)
+{
+    const Organization org = hbm4Config().org;
+    return runDigest(cfg, reqs,
+                     pathological_mapping ? standardMappings(org).back()
+                                          : bestBaselineMapping(org));
+}
+
+/** The first @p n requests of a checked-in corpus trace. */
+std::vector<Request>
+traceSlice(const char* name, std::size_t n)
+{
+    TraceSource trace(std::string(ROME_SOURCE_DIR) + "/tests/data/" + name);
+    std::vector<Request> reqs;
+    Request r;
+    while (reqs.size() < n && trace.next(r))
+        reqs.push_back(r);
+    return reqs;
 }
 
 std::vector<Request>
@@ -347,7 +426,8 @@ TEST(SchedulerParity, AllPagePoliciesAndWorkloads)
             indexed.pagePolicy = pol;
             McConfig legacy = indexed;
             legacy.legacyScheduler = true;
-            EXPECT_TRUE(runConv(indexed, *reqs) == runConv(legacy, *reqs))
+            EXPECT_TRUE(runConvDigest(indexed, *reqs) ==
+                        runConvDigest(legacy, *reqs))
                 << "policy " << static_cast<int>(pol);
         }
     }
@@ -372,7 +452,7 @@ TEST(SchedulerParity, AgedQosAndSmallQueues)
     indexed.agePriorityThreshold = 300_ns;
     McConfig legacy = indexed;
     legacy.legacyScheduler = true;
-    EXPECT_TRUE(runConv(indexed, reqs) == runConv(legacy, reqs));
+    EXPECT_TRUE(runConvDigest(indexed, reqs) == runConvDigest(legacy, reqs));
 }
 
 TEST(SchedulerParity, PathologicalMappingAndNoRefresh)
@@ -392,9 +472,55 @@ TEST(SchedulerParity, PathologicalMappingAndNoRefresh)
         indexed.refreshEnabled = refresh;
         McConfig legacy = indexed;
         legacy.legacyScheduler = true;
-        EXPECT_TRUE(runConv(indexed, reqs, true) ==
-                    runConv(legacy, reqs, true))
+        EXPECT_TRUE(runConvDigest(indexed, reqs, true) ==
+                    runConvDigest(legacy, reqs, true))
             << "refresh " << refresh;
+    }
+}
+
+TEST(SchedulerParity, EveryStandardMapping)
+{
+    REQUIRE_ORACLES();
+    // The six presets put 2, 8 or 32 lines between consecutive columns
+    // of one bank row, or (row bits below the column bits) never place
+    // two lines of a request in one row, so queued column ops group into
+    // runs of every shape. Multi-KB requests with random offsets cross
+    // column wraps; 32 B requests make every op its own request.
+    const Organization org = hbm4Config().org;
+    RandomPattern coarse;
+    coarse.totalBytes = 192_KiB;
+    coarse.requestBytes = 3_KiB;
+    coarse.capacity = org.channelCapacity();
+    coarse.writeFraction = 0.3;
+    coarse.seed = 23;
+    std::vector<Request> coarse_reqs = randomRequests(coarse);
+    for (std::size_t i = 0; i < coarse_reqs.size(); ++i)
+        coarse_reqs[i].addr += 32 * (i % 7); // off column-aligned starts
+    RandomPattern fine;
+    fine.totalBytes = 32_KiB;
+    fine.requestBytes = 32;
+    fine.capacity = org.channelCapacity();
+    fine.writeFraction = 0.2;
+    fine.seed = 5;
+    const std::vector<Request> fine_reqs = randomRequests(fine);
+
+    for (const AddressMapping& mapping : standardMappings(org)) {
+        for (const PagePolicy pol :
+             {PagePolicy::Open, PagePolicy::Close, PagePolicy::Adaptive}) {
+            for (const std::vector<Request>* reqs :
+                 {&std::as_const(coarse_reqs), &fine_reqs}) {
+                McConfig indexed;
+                indexed.pagePolicy = pol;
+                indexed.readQueueDepth = 48;
+                indexed.writeQueueDepth = 32;
+                McConfig legacy = indexed;
+                legacy.legacyScheduler = true;
+                EXPECT_TRUE(runDigest(indexed, *reqs, mapping) ==
+                            runDigest(legacy, *reqs, mapping))
+                    << mapping.name() << " policy " << static_cast<int>(pol)
+                    << " requests " << reqs->size();
+            }
+        }
     }
 }
 
@@ -447,12 +573,12 @@ TEST(SchedulerParity, FaultRetriesAndSparing)
             }
             McConfig legacy = indexed;
             legacy.legacyScheduler = true;
-            const ControllerStats si = runConv(indexed, *c.reqs);
-            EXPECT_GT(si.retryCount, 0u) << c.label << " seed " << seed;
+            const RunDigest si = runConvDigest(indexed, *c.reqs);
+            EXPECT_GT(si.stats.retryCount, 0u) << c.label << " seed " << seed;
             if (c.stuckRows) {
-                EXPECT_GT(si.sparedRows, 0u) << "seed " << seed;
+                EXPECT_GT(si.stats.sparedRows, 0u) << "seed " << seed;
             }
-            EXPECT_TRUE(si == runConv(legacy, *c.reqs))
+            EXPECT_TRUE(si == runConvDigest(legacy, *c.reqs))
                 << c.label << " seed " << seed;
         }
     }
@@ -488,7 +614,6 @@ expectGolden(const ControllerStats& s, const GoldenStats& g)
 
 TEST(SchedulerGolden, PagePolicySnapshots)
 {
-    REQUIRE_ORACLES();
     const GoldenStats golden[] = {
         {"open", 1030u, 925u, 5632u, 2560u, 155u, 8192u, 128u, 262144u,
          19028},
@@ -503,25 +628,107 @@ TEST(SchedulerGolden, PagePolicySnapshots)
     for (int i = 0; i < 3; ++i) {
         McConfig indexed;
         indexed.pagePolicy = policies[i];
+        expectGolden(runConvDigest(indexed, reqs).stats, golden[i]);
+#if ROME_ORACLES
         McConfig legacy = indexed;
         legacy.legacyScheduler = true;
-        const ControllerStats si = runConv(indexed, reqs);
-        expectGolden(si, golden[i]);
-        expectGolden(runConv(legacy, reqs), golden[i]);
+        expectGolden(runConvDigest(legacy, reqs).stats, golden[i]);
+#endif
     }
 }
 
 TEST(SchedulerGolden, WriteDrainHysteresisSnapshot)
 {
-    REQUIRE_ORACLES();
     const GoldenStats golden{"write-drain", 1955u, 1859u, 12288u, 49152u,
                              1030u, 61440u, 480u, 1966080u, 126372};
     const auto reqs = writeDrainWorkload();
-    McConfig indexed;
+    expectGolden(runConvDigest(McConfig{}, reqs).stats, golden);
+#if ROME_ORACLES
     McConfig legacy;
     legacy.legacyScheduler = true;
-    expectGolden(runConv(indexed, reqs), golden);
-    expectGolden(runConv(legacy, reqs), golden);
+    expectGolden(runConvDigest(legacy, reqs).stats, golden);
+#endif
+}
+
+TEST(SchedulerGolden, CorpusSliceDigests)
+{
+    // One channel under the corpus traces' own arrivals (far above one
+    // channel's bandwidth, so admission is queue-depth bound), pinned by
+    // command-stream and completion-log hashes recorded while the queues
+    // still held one node per column op. No oracle needed: this runs in
+    // every build.
+    struct Golden
+    {
+        GoldenStats stats;
+        std::uint64_t commands, commandHash, completionHash;
+    };
+    const Golden golden[] = {
+        {{"serving open", 4180u, 4111u, 95232u, 21760u, 2037u, 116992u,
+          384u, 3743744u, 248764},
+         127320u, 0x2bb82c2cf1cf0d47ull, 0x742f6c21f43c0f2cull},
+        {{"serving close", 4456u, 4455u, 95232u, 21760u, 2046u, 116992u,
+          384u, 3743744u, 249360},
+         127949u, 0x1a39f1f2de999591ull, 0x21e4d2e6cd0cf6e2ull},
+        {{"serving adaptive", 4367u, 4365u, 95232u, 21760u, 2047u, 116992u,
+          384u, 3743744u, 249424},
+         127771u, 0x31375b06f6b05885ull, 0xa0b73c6e375aa6b6ull},
+        {{"prefill open", 1440u, 1387u, 29312u, 14080u, 904u, 43392u,
+          96u, 1388544u, 110408},
+         47123u, 0x3697595a80c984b5ull, 0x3eb4f4c4c05fc7fdull},
+        {{"prefill close", 1500u, 1496u, 29312u, 14080u, 908u, 43392u,
+          96u, 1388544u, 110716},
+         47296u, 0xca321d84e047eec1ull, 0xd29b0b311fae9049ull},
+        {{"prefill adaptive", 1464u, 1453u, 29312u, 14080u, 908u, 43392u,
+          96u, 1388544u, 110728},
+         47217u, 0x78fbb6b6f407837eull, 0x429fa2726dc59fdfull},
+    };
+    const std::vector<Request> slices[] = {traceSlice("serving.trace", 384),
+                                           traceSlice("prefill.trace", 96)};
+    const PagePolicy policies[] = {PagePolicy::Open, PagePolicy::Close,
+                                   PagePolicy::Adaptive};
+    for (int t = 0; t < 2; ++t) {
+        for (int p = 0; p < 3; ++p) {
+            const Golden& g = golden[3 * t + p];
+            McConfig cfg;
+            cfg.pagePolicy = policies[p];
+            const RunDigest d = runConvDigest(cfg, slices[t]);
+            expectGolden(d.stats, g.stats);
+            EXPECT_EQ(d.commands, g.commands) << g.stats.name;
+            EXPECT_EQ(d.commandHash, g.commandHash)
+                << g.stats.name << std::hex << " 0x" << d.commandHash;
+            EXPECT_EQ(d.completionHash, g.completionHash)
+                << g.stats.name << std::hex << " 0x" << d.completionHash;
+        }
+    }
+}
+
+TEST(SchedulerGolden, SparingDuringAdmissionDigest)
+{
+    // Streamed 8 KiB requests over stuck rows: rows are spared while
+    // later lines of the same request still wait for queue space, so
+    // admission must hand them the spare, not the row it last used.
+    // Recorded while admission decoded and remapped every line.
+    StreamPattern p;
+    p.totalBytes = 1_MiB;
+    p.requestBytes = 8_KiB;
+    p.writeFraction = 0.3;
+    p.seed = 4;
+    McConfig cfg;
+    cfg.readQueueDepth = 16;
+    cfg.writeQueueDepth = 16;
+    cfg.faults.enabled = true;
+    cfg.faults.seed = 4;
+    cfg.faults.stuckRowFraction = 0.02;
+    cfg.faults.retryLimit = 0;
+    cfg.faults.ceSpareThreshold = 1;
+    const RunDigest d = runConvDigest(cfg, streamRequests(p));
+    EXPECT_EQ(d.stats.sparedRows, 30u);
+    EXPECT_EQ(d.stats.retryCount, 14u);
+    EXPECT_EQ(d.commands, 37318u);
+    EXPECT_EQ(d.commandHash, 0xa19d469876ded1f2ull)
+        << std::hex << " 0x" << d.commandHash;
+    EXPECT_EQ(d.completionHash, 0xfa3db2bc4e2a7a5dull)
+        << std::hex << " 0x" << d.completionHash;
 }
 
 } // namespace
