@@ -48,7 +48,13 @@ namespace rome
 // pairs instead of one entry per slot start.
 // v6: a conventional op-pool node holds a run of column ops: its head op
 // plus (count, seq stride) after the head seq.
-inline constexpr std::uint32_t kCheckpointVersion = 6;
+// v7: one record per live request (request, ops left, poison, first
+// issue, retry ticks) in a slot table with its free list; the host window
+// holds slots, an op holds its slot and attempt (no request id, arrival,
+// link delay, retry wait or single-op flag), and the source window left
+// the stream. The hybrid writes a feed's peeked request only when it
+// holds one.
+inline constexpr std::uint32_t kCheckpointVersion = 7;
 
 /** Envelope magic ("RMCK" little-endian). */
 inline constexpr std::uint32_t kCheckpointMagic = 0x4b434d52u;
@@ -185,7 +191,7 @@ class CheckpointReader
     void
     need(std::uint64_t n) const
     {
-        if (pos_ + n > data_.size()) {
+        if (n > data_.size() - pos_) {
             fatal("checkpoint underrun: need %llu bytes at offset %zu of "
                   "%zu",
                   static_cast<unsigned long long>(n), pos_, data_.size());

@@ -33,13 +33,11 @@ constexpr int kRankIdlePre = 3;
 /** Largest seq gap a run stores between consecutive ops. */
 constexpr std::uint64_t kMaxSeqStride = 1u << 30;
 
-/** Two ops carry the same completion ticket (request, timing, retry). */
+/** Two ops carry the same ticket (request record and retry attempt). */
 bool
 sameTicket(const OpTicket& a, const OpTicket& b)
 {
-    return a.reqId == b.reqId && a.arrival == b.arrival &&
-           a.retryWait == b.retryWait && a.linkDelay == b.linkDelay &&
-           a.attempt == b.attempt && a.singleOp == b.singleOp;
+    return a.slot == b.slot && a.attempt == b.attempt;
 }
 
 /** Last activity of an open bank (adaptive idle-timeout reference). */
@@ -172,7 +170,7 @@ ConventionalMc::writeQueueSize() const
 bool
 ConventionalMc::admitOps()
 {
-    Request& req = host_.front();
+    const Request& req = frontRequest();
     const bool is_read = req.kind == ReqKind::Read;
     const auto& outstanding = is_read ? readOutstanding_ : writeOutstanding_;
     const auto depth = static_cast<std::size_t>(
@@ -187,10 +185,8 @@ ConventionalMc::admitOps()
         map_.lineOf(req.addr + req.size - 1) - first_line + 1;
 
     Op op;
-    op.reqId = req.id;
+    op.slot = host_.front();
     op.arrival = req.arrival;
-    op.linkDelay = req.linkDelay;
-    op.singleOp = total == 1;
     op.kind = req.kind;
     while (frontChunk_ < total && queued() + outstanding.size() < depth) {
         op.addr = lineAddress(first_line + frontChunk_);
@@ -320,15 +316,16 @@ ConventionalMc::idleWakeTick(Tick adaptive_next) const
     if (retryQ_.nextAt() != kTickMax)
         offer(std::max(retryQ_.nextAt(), now_ + 1), StallCause::RetryBackoff);
     if (!host_.empty()) {
-        Tick admit_at = std::max(host_.front().arrival, now_ + 1);
+        const Tick arrival = frontRequest().arrival;
+        Tick admit_at = std::max(arrival, now_ + 1);
         Tick first_free = std::min(readOutstanding_.firstFreeAfter(now_),
                                    writeOutstanding_.firstFreeAfter(now_));
         if (first_free != kTickMax)
             admit_at = std::min(admit_at, std::max(now_ + 1, first_free));
         // Front request not yet arrived = truly idle; arrived but
         // unadmittable = the queues/CAM are the bottleneck.
-        offer(admit_at, host_.front().arrival > now_ ? StallCause::NoRequest
-                                                     : StallCause::BankBusy);
+        offer(admit_at, arrival > now_ ? StallCause::NoRequest
+                                       : StallCause::BankBusy);
     }
     for (const auto& u : refreshUnits_) {
         if (pendingRefreshCount(u) == 0)
@@ -1331,15 +1328,12 @@ ConventionalMc::saveCheckpoint(CheckpointWriter& w) const
 {
     if (sink_ != nullptr)
         sink_->instant("checkpoint", TelemetrySink::kChannelTrack, now_);
+    // An op's arrival is its record's; restore takes it from there.
     const auto put_op = [&w](const Op& op) {
         putDramAddress(w, op.addr);
-        w.putU64(op.reqId);
+        w.putI32(op.slot);
         w.putU8(static_cast<std::uint8_t>(op.kind));
-        w.putI64(op.arrival);
-        w.putBool(op.singleOp);
         w.putI32(op.attempt);
-        w.putI64(op.retryWait);
-        w.putI64(op.linkDelay);
     };
     const auto put_bank_list = [&w](const BankList& l) {
         w.putI32(l.head);
@@ -1403,17 +1397,13 @@ ConventionalMc::restoreCheckpoint(CheckpointReader& r)
         if (!addressInRange(org, op.addr))
             fatal("hbm4 checkpoint: op address %s out of range",
                   op.addr.str().c_str());
-        op.reqId = r.getU64();
+        op.slot = r.getI32();
         const std::uint8_t kind = r.getU8();
         if (kind != static_cast<std::uint8_t>(ReqKind::Read) &&
             kind != static_cast<std::uint8_t>(ReqKind::Write))
             fatal("hbm4 checkpoint: bad op kind %u", kind);
         op.kind = static_cast<ReqKind>(kind);
-        op.arrival = r.getI64();
-        op.singleOp = r.getBool();
         op.attempt = r.getI32();
-        op.retryWait = r.getI64();
-        op.linkDelay = r.getI64();
         return op;
     };
     const auto get_bank_list = [&r](BankList& l) {
@@ -1426,12 +1416,20 @@ ConventionalMc::restoreCheckpoint(CheckpointReader& r)
     loadBaseState(r);
     dev_.loadState(r);
 
+    // Queued and retrying ops are bound to their records as they load;
+    // a pool node is bound when rebuildIndex finds it on a bank list
+    // (free nodes keep stale contents).
+    const auto get_live_op = [&] {
+        Op op = get_op();
+        adoptRestoredOp(op);
+        return op;
+    };
     readQ_.resize(r.getCount());
     for (Op& op : readQ_)
-        op = get_op();
+        op = get_live_op();
     writeQ_.resize(r.getCount());
     for (Op& op : writeQ_)
-        op = get_op();
+        op = get_live_op();
 
     const std::size_t nodes = r.getCount();
     const auto max_nodes =
@@ -1476,7 +1474,7 @@ ConventionalMc::restoreCheckpoint(CheckpointReader& r)
     }
     updateRefreshDue();
 
-    retryQ_.loadState(r, get_op);
+    retryQ_.loadState(r, get_live_op);
 
     casIssued_ = r.getU64();
     readQOcc_.loadState(r);
@@ -1484,6 +1482,7 @@ ConventionalMc::restoreCheckpoint(CheckpointReader& r)
         lane.line = kNoLine; // the restored fault state may remap rows
     if (!cfg_.legacyScheduler)
         rebuildIndex();
+    checkRestoredOps();
 }
 
 void
@@ -1492,7 +1491,8 @@ ConventionalMc::rebuildIndex()
     // Every restored link is range- and consistency-checked before use:
     // each bank list must walk from head to tail through in-range,
     // not-yet-seen nodes of that bank and queue, with matching back links;
-    // each run must hold at least one op, fit its row's columns, and have
+    // each run must belong to a live request record (which supplies its
+    // arrival), hold at least one op, fit its row's columns, and have
     // a positive seq stride when longer than one op; the runs' seqs must
     // rise along the list and stay below the next admission seq, and
     // their op counts must sum to the list's count; the free list must
@@ -1513,7 +1513,7 @@ ConventionalMc::rebuildIndex()
                 if (i < 0 || i >= npool || seen[static_cast<std::size_t>(i)])
                     fatal("hbm4 checkpoint: bad op-list link %d", i);
                 seen[static_cast<std::size_t>(i)] = 1;
-                const OpNode& n = pool_[static_cast<std::size_t>(i)];
+                OpNode& n = pool_[static_cast<std::size_t>(i)];
                 if (n.bank != b || n.prev != prev ||
                     flatBankIndex(dramCfg_.org, n.op.addr) != b ||
                     (n.op.kind == ReqKind::Write) != is_write)
@@ -1521,6 +1521,7 @@ ConventionalMc::rebuildIndex()
                 if (n.count <= 0 || n.count > cols - n.op.addr.col ||
                     (n.count > 1 && n.seqStride <= 0))
                     fatal("hbm4 checkpoint: op run %d has bad shape", i);
+                adoptRestoredOp(n.op, n.count);
                 // Last seq of the run, checked below admitSeq_ without
                 // overflowing.
                 const auto span = static_cast<std::uint64_t>(n.count - 1) *

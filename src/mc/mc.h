@@ -150,7 +150,8 @@ class ConventionalMc : public ChannelControllerBase
      * Checkpoint the full mutable controller + device state (queued op
      * runs with their per-bank list links, refresh rotations, retry/fault
      * state, statistics). Restore range- and consistency-checks every
-     * restored index, op address and run (fatal on a bad one), rebuilds the
+     * restored index, op address, run and op slot (fatal on a bad one;
+     * the base checks each request's op count), rebuilds the
      * derived scheduling index, and then continues bit-identically to a
      * run that never checkpointed (every ControllerStats field compared
      * by operator==). The restore target must be constructed with the

@@ -213,35 +213,6 @@ HybridMc::stats() const
 
 // ---- checkpointing -------------------------------------------------------
 
-namespace
-{
-
-void
-putHybridRequest(CheckpointWriter& w, const Request& r)
-{
-    w.putU64(r.id);
-    w.putU8(static_cast<std::uint8_t>(r.kind));
-    w.putU64(r.addr);
-    w.putU64(r.size);
-    w.putI64(r.arrival);
-    w.putI64(r.linkDelay);
-}
-
-Request
-getHybridRequest(CheckpointReader& r)
-{
-    Request req;
-    req.id = r.getU64();
-    req.kind = static_cast<ReqKind>(r.getU8());
-    req.addr = r.getU64();
-    req.size = r.getU64();
-    req.arrival = r.getI64();
-    req.linkDelay = r.getI64();
-    return req;
-}
-
-} // namespace
-
 void
 HybridMc::saveCheckpoint(CheckpointWriter& w) const
 {
@@ -250,7 +221,7 @@ HybridMc::saveCheckpoint(CheckpointWriter& w) const
     for (const auto& staged : staging_) {
         w.putCount(staged.size());
         for (const Request& r : staged)
-            putHybridRequest(w, r);
+            putRequest(w, r);
     }
     w.putU64(static_cast<std::uint64_t>(stagingPeak_));
     w.putU64(pulledFromSource_);
@@ -262,7 +233,8 @@ HybridMc::saveCheckpoint(CheckpointWriter& w) const
         Request peek{};
         const bool have = f.peekState(peek);
         w.putBool(have);
-        putHybridRequest(w, peek);
+        if (have)
+            putRequest(w, peek);
         w.putBool(f.endedState());
     }
 }
@@ -276,14 +248,14 @@ HybridMc::restoreCheckpoint(CheckpointReader& r)
         staged.clear();
         const std::size_t n = r.getCount();
         for (std::size_t i = 0; i < n; ++i)
-            staged.push_back(getHybridRequest(r));
+            staged.push_back(getRequest(r));
     }
     stagingPeak_ = static_cast<std::size_t>(r.getU64());
     pulledFromSource_ = r.getU64();
     const bool had_source = r.getBool();
     for (PartitionFeed& f : feeds_) {
         const bool have = r.getBool();
-        const Request peek = getHybridRequest(r);
+        const Request peek = have ? getRequest(r) : Request{};
         f.restoreStreamState(peek, have, r.getBool());
     }
     source_ = nullptr;

@@ -99,7 +99,7 @@ RomeMc::decodeRow(std::uint64_t addr) const
 bool
 RomeMc::admitOps()
 {
-    const Request& req = host_.front();
+    const Request& req = frontRequest();
     const std::uint64_t eff = map_.effectiveRowBytes();
     const std::uint64_t first = req.addr / eff;
     const std::uint64_t last = (req.addr + req.size - 1) / eff;
@@ -114,10 +114,8 @@ RomeMc::admitOps()
         const std::uint64_t hi = std::min(chunk_lo + eff,
                                           req.addr + req.size);
         RowOp op;
-        op.reqId = req.id;
+        op.slot = host_.front();
         op.arrival = req.arrival;
-        op.linkDelay = req.linkDelay;
-        op.singleOp = total == 1;
         op.cmd.kind = req.kind == ReqKind::Read ? RowCmdKind::RdRow
                                                 : RowCmdKind::WrRow;
         op.cmd.addr = decodeRow(chunk_lo);
@@ -194,7 +192,7 @@ RomeMc::queueWakeTick() const
     if (!retryQ_.empty())
         next = std::min(next, enter_at(retryQ_.nextAt()));
     if (!host_.empty())
-        next = std::min(next, enter_at(host_.front().arrival));
+        next = std::min(next, enter_at(frontRequest().arrival));
     // A refresh that is already due but blocked wakes when a VBA or an
     // FSM slot frees, which the caller's busy terms cover.
     if (nextRefreshDue() > now_)
@@ -391,7 +389,7 @@ RomeMc::stepOnceIndexed(Tick until)
                    std::max(retryQ_.nextAt(), now_ + 1) <= next) {
             cause = StallCause::RetryBackoff;
         } else if (!host_.empty() &&
-                   std::max(host_.front().arrival, now_ + 1) <= next &&
+                   std::max(frontRequest().arrival, now_ + 1) <= next &&
                    queue_.size() + outstanding_.size() <
                        static_cast<std::size_t>(cfg_.queueDepth)) {
             cause = StallCause::NoRequest;
@@ -665,13 +663,9 @@ RomeMc::saveCheckpoint(CheckpointWriter& w) const
         w.putI32(op.cmd.addr.sid);
         w.putI32(op.cmd.addr.vba);
         w.putI32(op.cmd.addr.row);
-        w.putU64(op.reqId);
-        w.putI64(op.arrival);
+        w.putI32(op.slot);
         w.putU64(op.usefulBytes);
-        w.putBool(op.singleOp);
         w.putI32(op.attempt);
-        w.putI64(op.retryWait);
-        w.putI64(op.linkDelay);
     };
     const auto put_slot = [&w](const FsmSlot& s) {
         w.putI32(s.vba.sid);
@@ -747,13 +741,10 @@ RomeMc::restoreCheckpoint(CheckpointReader& r)
             a.row >= map_.rowsPerVba())
             fatal("rome checkpoint: row-op address %s out of range",
                   a.str().c_str());
-        op.reqId = r.getU64();
-        op.arrival = r.getI64();
+        op.slot = r.getI32();
+        adoptRestoredOp(op);
         op.usefulBytes = r.getU64();
-        op.singleOp = r.getBool();
         op.attempt = r.getI32();
-        op.retryWait = r.getI64();
-        op.linkDelay = r.getI64();
         return op;
     };
     const auto get_state = [&r]() {
@@ -821,6 +812,7 @@ RomeMc::restoreCheckpoint(CheckpointReader& r)
     overfetch_ = r.getU64();
     opHighWater_ = r.getI32();
     refHighWater_ = r.getI32();
+    checkRestoredOps();
 }
 
 } // namespace rome

@@ -170,20 +170,20 @@ ChannelControllerBase::enqueue(const Request& req)
 {
     if (req.size == 0)
         fatal("zero-size request");
-    const std::uint64_t chunk = admissionChunkBytes();
-    const std::uint64_t first = req.addr / chunk;
-    const std::uint64_t last = (req.addr + req.size - 1) / chunk;
-    if (first == last) {
-        // Single-operation request: it completes with its one op, so it
-        // needs no per-request progress entry — the hot completion path
-        // (noteSingleOpDone) skips the in-flight map entirely.
-        ++singleOpsPending_;
+    // A record counts its ops in an int, and 0 marks a free slot.
+    const std::uint64_t ops = opCount(req);
+    if (ops > static_cast<std::uint64_t>(INT32_MAX))
+        fatal("request of %llu ops", static_cast<unsigned long long>(ops));
+    int slot = static_cast<int>(slots_.size());
+    if (freeSlots_.empty()) {
+        slots_.emplace_back();
     } else {
-        ReqState st{req.arrival, static_cast<int>(last - first + 1)};
-        st.linkDelay = req.linkDelay;
-        inflight_[req.id] = st;
+        slot = freeSlots_.back();
+        freeSlots_.pop_back();
     }
-    host_.push_back(req);
+    slots_[static_cast<std::size_t>(slot)] =
+        ReqRecord{req, static_cast<int>(ops)};
+    host_.push_back(slot);
     hostPeak_ = std::max(hostPeak_, host_.size());
     // Keep the completion log's capacity ahead of everything enqueued so
     // recording a completion never allocates inside the scheduling loop.
@@ -208,20 +208,10 @@ ChannelControllerBase::bindSource(RequestSource* src)
 }
 
 void
-ChannelControllerBase::setSourceWindow(std::size_t window)
-{
-    if (window == 0)
-        fatal("source window must hold at least one request");
-    sourceWindow_ = window;
-    if (source_ != nullptr)
-        refillFromSource();
-}
-
-void
 ChannelControllerBase::refillFromSource()
 {
     Request r;
-    while (host_.size() < sourceWindow_ && source_->next(r)) {
+    while (host_.size() < kSourceWindow && source_->next(r)) {
         ++sourcePulled_;
         enqueue(r);
     }
@@ -260,7 +250,7 @@ ChannelControllerBase::pumpArrivals()
 {
     if (source_ != nullptr)
         refillFromSource();
-    while (!host_.empty() && host_.front().arrival <= now_) {
+    while (!host_.empty() && frontRequest().arrival <= now_) {
         if (!admitOps())
             break;
         if (source_ != nullptr)
@@ -269,62 +259,23 @@ ChannelControllerBase::pumpArrivals()
 }
 
 void
-ChannelControllerBase::noteOpDone(std::uint64_t req_id, Tick data_end,
-                                  bool poisoned, Tick retry_wait)
+ChannelControllerBase::retire(int slot, Tick data_end)
 {
-    auto it = inflight_.find(req_id);
-    if (it == inflight_.end())
-        panic("completion for unknown request %llu",
-              static_cast<unsigned long long>(req_id));
-    ReqState& st = it->second;
-    st.poisoned |= poisoned;
-    if (telemetry_) {
-        if (st.firstIssue == kTickInvalid)
-            st.firstIssue = now_;
-        st.retryTicks += retry_wait;
-    }
-    if (--st.opsRemaining == 0) {
-        ++completedCount_;
-        if (st.poisoned)
-            ++poisonedCount_;
-        Completion* slot = nullptr;
-        if (retainCompletions_) {
-            completions_.push_back(Completion{req_id, data_end,
-                                              st.poisoned});
-            slot = &completions_.back();
-        }
-        const double lat_ns = nsFromTicks(data_end - st.arrival);
-        latencyNs_.sample(lat_ns);
-        latencyHistNs_.sample(lat_ns);
-        if (telemetry_) {
-            telemetrySampleCompletion(st.arrival, data_end, st.firstIssue,
-                                      st.retryTicks, st.linkDelay, slot);
-        }
-        inflight_.erase(it);
-    }
-}
-
-void
-ChannelControllerBase::noteSingleOpDone(std::uint64_t req_id, Tick arrival,
-                                        Tick data_end, bool poisoned,
-                                        Tick retry_wait, Tick link_delay)
-{
-    --singleOpsPending_;
+    const ReqRecord& rec = slots_[static_cast<std::size_t>(slot)];
     ++completedCount_;
-    if (poisoned)
+    if (rec.poisoned)
         ++poisonedCount_;
-    Completion* slot = nullptr;
+    Completion* c = nullptr;
     if (retainCompletions_) {
-        completions_.push_back(Completion{req_id, data_end, poisoned});
-        slot = &completions_.back();
+        completions_.push_back(Completion{rec.req.id, data_end, rec.poisoned});
+        c = &completions_.back();
     }
-    const double lat_ns = nsFromTicks(data_end - arrival);
+    const double lat_ns = nsFromTicks(data_end - rec.req.arrival);
     latencyNs_.sample(lat_ns);
     latencyHistNs_.sample(lat_ns);
-    if (telemetry_) {
-        telemetrySampleCompletion(arrival, data_end, now_, retry_wait,
-                                  link_delay, slot);
-    }
+    if (telemetry_)
+        telemetrySampleCompletion(rec, data_end, c);
+    freeSlots_.push_back(slot);
 }
 
 std::function<void(Tick, const Command&, const ChannelDevice::IssueResult&)>
@@ -368,24 +319,20 @@ ChannelControllerBase::initTelemetry(const TelemetryConfig& cfg,
 }
 
 void
-ChannelControllerBase::telemetrySampleCompletion(Tick arrival, Tick data_end,
-                                                 Tick first_issue,
-                                                 Tick retry_ticks,
-                                                 Tick link_delay,
-                                                 Completion* c)
+ChannelControllerBase::telemetrySampleCompletion(const ReqRecord& rec,
+                                                 Tick data_end, Completion* c)
 {
     // Exact decomposition: queue + service + retry == data_end - arrival
     // in ticks. Retry backoff is carved out of the pre-issue wait, so a
     // retry landing after the request's first issue can drive the queue
     // component negative — the Completion keeps it signed (the sum stays
     // exact); the histogram clamps at zero like every negative sample.
-    if (first_issue == kTickInvalid)
-        first_issue = data_end;
+    const Tick first_issue = rec.firstIssue;
     const double queue_ns =
-        nsFromTicks(first_issue - arrival - retry_ticks);
+        nsFromTicks(first_issue - rec.req.arrival - rec.retryTicks);
     const double service_ns = nsFromTicks(data_end - first_issue);
-    const double retry_ns = nsFromTicks(retry_ticks);
-    const double link_ns = nsFromTicks(link_delay);
+    const double retry_ns = nsFromTicks(rec.retryTicks);
+    const double link_ns = nsFromTicks(rec.req.linkDelay);
     queueHistNs_.sample(queue_ns);
     serviceHistNs_.sample(service_ns);
     retryHistNs_.sample(retry_ns);
@@ -400,7 +347,10 @@ ChannelControllerBase::telemetrySampleCompletion(Tick arrival, Tick data_end,
         TimeSample cur;
         cur.completed = completedCount_;
         cur.bytes = bytesRead_ + bytesWritten_;
-        cur.occupancy = inflight_.size() + singleOpsPending_;
+        // Live records, counting the completing request only when it has
+        // more than one op: the occupancy the recorded timelines hold.
+        cur.occupancy = slots_.size() - freeSlots_.size() -
+                        (opCount(rec.req) == 1 ? 1 : 0);
         cur.stall = stall_.totals();
         series_.observe(data_end, cur);
     }
@@ -436,11 +386,10 @@ ChannelControllerBase::drain()
 bool
 ChannelControllerBase::idle() const
 {
-    // Every queued or outstanding operation belongs to an in-flight
-    // request (a map entry or a pending single-op), so no in-flight
-    // requests implies empty op queues. A bound source with requests left
-    // means pending work even when the host window drained.
-    return host_.empty() && inflight_.empty() && singleOpsPending_ == 0 &&
+    // Every queued or retrying operation belongs to a live record, so no
+    // live records implies empty op queues. A bound source with requests
+    // left means pending work even when the host window drained.
+    return host_.empty() && freeSlots_.size() == slots_.size() &&
            sourceDone_;
 }
 
@@ -480,9 +429,6 @@ ChannelControllerBase::fillBaseStats(ControllerStats& s) const
     s.finishedAt = device().lastDataEnd();
 }
 
-namespace
-{
-
 void
 putRequest(CheckpointWriter& w, const Request& r)
 {
@@ -513,35 +459,30 @@ getRequest(CheckpointReader& r)
     return q;
 }
 
-} // namespace
-
 void
 ChannelControllerBase::saveBaseState(CheckpointWriter& w) const
 {
     w.putI64(now_);
     faults_.saveState(w);
-    w.putCount(host_.size());
-    for (const Request& r : host_)
-        putRequest(w, r);
-    w.putU64(frontChunk_);
-    // unordered_map: serialize in sorted key order so two checkpoints of
-    // the same state are byte-identical.
-    std::vector<std::uint64_t> ids;
-    ids.reserve(inflight_.size());
-    for (const auto& [id, st] : inflight_)
-        ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
-    w.putCount(ids.size());
-    for (const std::uint64_t id : ids) {
-        const ReqState& st = inflight_.at(id);
-        w.putU64(id);
-        w.putI64(st.arrival);
-        w.putI32(st.opsRemaining);
-        w.putBool(st.poisoned);
-        w.putI64(st.firstIssue);
-        w.putI64(st.retryTicks);
-        w.putI64(st.linkDelay);
+    // The slot table: its size, the free list in reuse order, then each
+    // live record in slot order.
+    w.putCount(slots_.size());
+    w.putCount(freeSlots_.size());
+    for (const int s : freeSlots_)
+        w.putI32(s);
+    for (const ReqRecord& rec : slots_) {
+        if (rec.opsRemaining == 0)
+            continue;
+        putRequest(w, rec.req);
+        w.putI32(rec.opsRemaining);
+        w.putBool(rec.poisoned);
+        w.putI64(rec.firstIssue);
+        w.putI64(rec.retryTicks);
     }
+    w.putCount(host_.size());
+    for (const int s : host_)
+        w.putI32(s);
+    w.putU64(frontChunk_);
     w.putCount(completions_.size());
     for (const Completion& c : completions_) {
         w.putU64(c.id);
@@ -560,11 +501,9 @@ ChannelControllerBase::saveBaseState(CheckpointWriter& w) const
     w.putU64(totalRequests_);
     w.putBool(sourceDone_);
     w.putU64(sourcePulled_);
-    w.putU64(sourceWindow_);
     w.putU64(hostPeak_);
     w.putU64(completedCount_);
     w.putU64(poisonedCount_);
-    w.putU64(singleOpsPending_);
     w.putBool(retainCompletions_);
     // Telemetry accumulators (empty structures when the tier is off —
     // the enable flags themselves are config-derived, not serialized).
@@ -581,38 +520,47 @@ ChannelControllerBase::loadBaseState(CheckpointReader& r)
 {
     now_ = r.getI64();
     faults_.loadState(r);
-    host_.clear();
-    const std::size_t nhost = r.getCount();
-    for (std::size_t i = 0; i < nhost; ++i)
-        host_.push_back(getRequest(r));
+    // A free slot keeps opsRemaining 0; a live record needs at least one
+    // op left and no more than its request decomposes into.
+    slots_.assign(r.getCount(), ReqRecord{});
+    freeSlots_.resize(r.getCount());
+    std::vector<char> is_free(slots_.size(), 0);
+    for (int& s : freeSlots_) {
+        s = r.getI32();
+        if (s < 0 || static_cast<std::size_t>(s) >= slots_.size() ||
+            is_free[static_cast<std::size_t>(s)])
+            fatal("checkpoint: bad free request slot %d", s);
+        is_free[static_cast<std::size_t>(s)] = 1;
+    }
+    for (std::size_t s = 0; s < slots_.size(); ++s) {
+        if (is_free[s])
+            continue;
+        ReqRecord& rec = slots_[s];
+        rec.req = getRequest(r);
+        rec.opsRemaining = r.getI32();
+        if (rec.opsRemaining < 1 ||
+            static_cast<std::uint64_t>(rec.opsRemaining) > opCount(rec.req))
+            fatal("checkpoint: request slot %zu with %d ops left", s,
+                  rec.opsRemaining);
+        rec.poisoned = r.getBool();
+        rec.firstIssue = r.getI64();
+        rec.retryTicks = r.getI64();
+    }
+    host_.resize(r.getCount());
+    for (int& s : host_) {
+        s = r.getI32();
+        if (s < 0 || static_cast<std::size_t>(s) >= slots_.size() ||
+            is_free[static_cast<std::size_t>(s)])
+            fatal("checkpoint: host-window slot %d is not a live request", s);
+    }
     frontChunk_ = r.getU64();
     // Admission resumes at chunk frontChunk_ of the front request; past
     // its last chunk, admitOps could neither admit nor pop the request.
-    if (frontChunk_ != 0) {
-        const std::uint64_t chunk = admissionChunkBytes();
-        const Request* front = host_.empty() ? nullptr : &host_.front();
-        if (front == nullptr ||
-            frontChunk_ > (front->addr + front->size - 1) / chunk -
-                              front->addr / chunk)
-            fatal("checkpoint: admission chunk %llu past the front request",
-                  static_cast<unsigned long long>(frontChunk_));
-    }
-    inflight_.clear();
-    const std::size_t ninflight = r.getCount();
-    for (std::size_t i = 0; i < ninflight; ++i) {
-        const std::uint64_t id = r.getU64();
-        ReqState st{};
-        st.arrival = r.getI64();
-        st.opsRemaining = r.getI32();
-        if (st.opsRemaining < 1)
-            fatal("checkpoint: in-flight request with %d ops left",
-                  st.opsRemaining);
-        st.poisoned = r.getBool();
-        st.firstIssue = r.getI64();
-        st.retryTicks = r.getI64();
-        st.linkDelay = r.getI64();
-        inflight_.emplace(id, st);
-    }
+    if (frontChunk_ != 0 &&
+        (host_.empty() || frontChunk_ >= opCount(frontRequest())))
+        fatal("checkpoint: admission chunk %llu past the front request",
+              static_cast<unsigned long long>(frontChunk_));
+    restoreTally_.assign(slots_.size(), 0);
     completions_.clear();
     const std::size_t ncomp = r.getCount();
     completions_.reserve(ncomp);
@@ -635,11 +583,9 @@ ChannelControllerBase::loadBaseState(CheckpointReader& r)
     totalRequests_ = r.getU64();
     sourceDone_ = r.getBool();
     sourcePulled_ = r.getU64();
-    sourceWindow_ = static_cast<std::size_t>(r.getU64());
     hostPeak_ = static_cast<std::size_t>(r.getU64());
     completedCount_ = r.getU64();
     poisonedCount_ = r.getU64();
-    singleOpsPending_ = r.getU64();
     retainCompletions_ = r.getBool();
     stall_.loadState(r);
     series_.loadState(r);
@@ -651,6 +597,39 @@ ChannelControllerBase::loadBaseState(CheckpointReader& r)
     // stream with resumeSource (or leaves it detached when none was
     // bound — sourceDone_ then restored as true).
     source_ = nullptr;
+}
+
+void
+ChannelControllerBase::adoptRestoredOp(OpTicket& op, int n)
+{
+    if (op.slot < 0 || static_cast<std::size_t>(op.slot) >= slots_.size() ||
+        slots_[static_cast<std::size_t>(op.slot)].opsRemaining == 0)
+        fatal("checkpoint: op of request slot %d, which is not live",
+              op.slot);
+    op.arrival = slots_[static_cast<std::size_t>(op.slot)].req.arrival;
+    restoreTally_[static_cast<std::size_t>(op.slot)] += n;
+}
+
+void
+ChannelControllerBase::checkRestoredOps()
+{
+    for (std::size_t i = 0; i < host_.size(); ++i) {
+        const auto s = static_cast<std::size_t>(host_[i]);
+        const std::uint64_t unadmitted =
+            opCount(slots_[s].req) - (i == 0 ? frontChunk_ : 0);
+        // Clamped past any record's op count, so the tally cannot
+        // overflow and still cannot match.
+        restoreTally_[s] += static_cast<std::int64_t>(
+            std::min<std::uint64_t>(unadmitted, std::uint64_t{INT32_MAX} + 1));
+    }
+    for (std::size_t s = 0; s < slots_.size(); ++s) {
+        if (restoreTally_[s] != slots_[s].opsRemaining)
+            fatal("checkpoint: request slot %zu has %lld ops queued or "
+                  "unadmitted but %d left",
+                  s, static_cast<long long>(restoreTally_[s]),
+                  slots_[s].opsRemaining);
+    }
+    restoreTally_ = {};
 }
 
 // ---------------------------------------------------------------------------

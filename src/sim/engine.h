@@ -17,9 +17,10 @@
  *  - ControllerStats: one flat, comparable snapshot of everything the
  *    harnesses consume (bytes, commands, bandwidths, latency, overfetch).
  *  - ChannelControllerBase: the code that used to be duplicated between
- *    src/mc/mc.cc and src/rome/rome_mc.cc — host-request admission,
- *    in-flight/completion/latency accounting and the completion hand-off
- *    of an op (OpTicket), CAM-style outstanding-entry occupancy, per-bank
+ *    src/mc/mc.cc and src/rome/rome_mc.cc — host-request admission, one
+ *    record per request from enqueue to completion (a slot table that
+ *    each queued op names through its OpTicket), completion/latency
+ *    accounting, CAM-style outstanding-entry occupancy, per-bank
  *    refresh rotation, the runUntil/drain loop, the read-recovery policy
  *    (ECC classify, retry through a RetryQueue, row sparing, patrol
  *    scrub) and the per-command timeline trace. A controller supplies
@@ -47,7 +48,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/checkpoint.h"
@@ -292,6 +292,13 @@ std::vector<std::uint8_t> saveControllerCheckpoint(
 void restoreControllerCheckpoint(IMemoryController& mc,
                                  const std::vector<std::uint8_t>& blob);
 
+/**
+ * Checkpoint codec of one host request, shared by every blob that holds
+ * requests. The reader fatals on an unknown kind or a zero size.
+ */
+void putRequest(CheckpointWriter& w, const Request& r);
+Request getRequest(CheckpointReader& r);
+
 /** Factory producing a fresh controller (one per sweep job / channel). */
 using ControllerFactory = std::function<std::unique_ptr<IMemoryController>()>;
 
@@ -417,23 +424,19 @@ class OutstandingOps
 };
 
 /**
- * The fields every queued operation carries for its request's completion
- * hand-off and for the recovery path. Both controllers' op types
- * (ConventionalMc::Op, RomeMc::RowOp) derive from it.
+ * The per-op fields the schedulers and the recovery path read. Everything
+ * else about the op's request lives once, in its controller's record of
+ * it. Both controllers' op types (ConventionalMc::Op, RomeMc::RowOp)
+ * derive from it.
  */
 struct OpTicket
 {
-    std::uint64_t reqId = 0;
-    /** Arrival tick of the parent request. */
-    Tick arrival = 0;
-    /** ECC retry backoff absorbed so far (telemetry breakdown). */
-    Tick retryWait = 0;
-    /** Upstream link delay of the parent request (telemetry). */
-    Tick linkDelay = 0;
+    /** The parent request's record in the controller's slot table. */
+    int slot = -1;
     /** Re-read attempts already spent clearing a CE (fault path). */
     int attempt = 0;
-    /** The op is its request's only one (completion fast path). */
-    bool singleOp = false;
+    /** Arrival tick of the parent request (the schedulers' age key). */
+    Tick arrival = 0;
 };
 
 /**
@@ -563,9 +566,10 @@ class RetryQueue
  *
  * A subclass supplies the scheduling itself (stepOnce), the decomposition
  * of host requests into queue operations (admitOps + admissionChunkBytes)
- * and its device; the base runs the host-side admission pump, tracks
- * in-flight requests, records completions and latency, and owns the
- * runUntil / drain / idle driver loop. It also owns what happens to an
+ * and its device; the base runs the host-side admission pump, keeps one
+ * record per request in a slot table (allocated at enqueue, freed when the
+ * request's last op completes), records completions and latency, and owns
+ * the runUntil / drain / idle driver loop. It also owns what happens to an
  * op after its data moved: the recovery policy for reads (recoverRead,
  * with the subclass's RetryQueue and FaultSite map), patrol scrub and
  * sparing (runScrub; the subclass rewrites its own queued ops in
@@ -608,12 +612,12 @@ class ChannelControllerBase : public IMemoryController
 
     /**
      * How many bound-source requests the host buffer prefetches. Only
-     * host_.front() drives scheduling decisions, so the window size never
-     * changes results — it only bounds memory. Must be >= 1.
+     * the front request drives scheduling decisions, so the window size
+     * never changes results — it only bounds memory.
      */
-    void setSourceWindow(std::size_t window);
+    static constexpr std::size_t kSourceWindow = 8;
 
-    std::size_t sourceWindow() const { return sourceWindow_; }
+    std::size_t sourceWindow() const { return kSourceWindow; }
 
     /** High-water mark of the host buffer (bounded-memory evidence). */
     std::size_t hostBufferPeak() const { return hostPeak_; }
@@ -675,21 +679,6 @@ class ChannelControllerBase : public IMemoryController
     void attachResumedFeed(RequestSource* src) { source_ = src; }
 
   protected:
-    /** Host-request progress tracking. */
-    struct ReqState
-    {
-        Tick arrival;
-        int opsRemaining; // not yet completed
-        /** Any op of this request read poisoned (DUE) data. */
-        bool poisoned = false;
-        /** First command issued for the request (breakdown; telemetry). */
-        Tick firstIssue = kTickInvalid;
-        /** Retry backoff accumulated across the request's ops. */
-        Tick retryTicks = 0;
-        /** Upstream link delay copied from the request (telemetry). */
-        Tick linkDelay = 0;
-    };
-
     /**
      * One scheduling step. Must either advance now_ (issuing a command or
      * jumping to the next event) and return true, or return false —
@@ -702,38 +691,55 @@ class ChannelControllerBase : public IMemoryController
     virtual bool stepOnce(Tick until) = 0;
 
     /**
-     * Admit operations of host_.front() into the subclass's request queue.
-     * Returns true when the whole request was admitted (and popped).
+     * Admit operations of the front request (slot host_.front()) into the
+     * subclass's request queue, each stamped with that slot and the
+     * request's arrival. Returns true when the whole request was admitted
+     * (and popped).
      */
     virtual bool admitOps() = 0;
 
     /** Operation granularity requests decompose into (column / eff. row). */
     virtual std::uint64_t admissionChunkBytes() const = 0;
 
+    /** The ops @p req decomposes into at admissionChunkBytes(). */
+    std::uint64_t
+    opCount(const Request& req) const
+    {
+        const std::uint64_t chunk = admissionChunkBytes();
+        return (req.addr + req.size - 1) / chunk - req.addr / chunk + 1;
+    }
+
+    /** The request at the head of the host window (which is non-empty). */
+    const Request&
+    frontRequest() const
+    {
+        return slots_[static_cast<std::size_t>(host_.front())].req;
+    }
+
     /**
      * Admit from the host buffer while requests have arrived. With a
      * bound source, first tops the host buffer up to the source window,
-     * preserving the invariant that host_.front() is the stream head
+     * preserving the invariant that the front request is the stream head
      * whenever work remains — the schedulers' next-arrival event logic
      * is oblivious to where requests come from.
      */
     void pumpArrivals();
 
     /**
-     * Hand one finished op of its request over to completion accounting
-     * at @p data_end; the request completes with its last op. The op is
-     * taken as issued at now_. @p poisoned marks this op's data as
-     * carrying a DUE; the request's completion is poisoned if any of its
-     * ops were.
+     * Hand one finished op over to its request's record at @p data_end;
+     * the request completes with its last op. The op is taken as issued
+     * at now_. @p poisoned marks this op's data as carrying a DUE; the
+     * request's completion is poisoned if any of its ops were.
      */
     void
     handOff(const OpTicket& op, Tick data_end, bool poisoned)
     {
-        if (op.singleOp)
-            noteSingleOpDone(op.reqId, op.arrival, data_end, poisoned,
-                             op.retryWait, op.linkDelay);
-        else
-            noteOpDone(op.reqId, data_end, poisoned, op.retryWait);
+        ReqRecord& rec = slots_[static_cast<std::size_t>(op.slot)];
+        rec.poisoned |= poisoned;
+        if (rec.firstIssue == kTickInvalid)
+            rec.firstIssue = now_;
+        if (--rec.opsRemaining == 0)
+            retire(op.slot, data_end);
     }
 
     // ---- reliability (sim/fault.h): the recovery path of both stacks ----
@@ -816,13 +822,27 @@ class ChannelControllerBase : public IMemoryController
     commandSpanTrace() const;
 
     /**
-     * Serialize / restore every base-owned mutable field (clock, host
-     * window, in-flight map, completion log, latency stats, source
-     * cursor, fault state). Subclass saveCheckpoint overrides call these
-     * first, then append their scheduler and device state.
+     * Serialize / restore every base-owned mutable field (clock, request
+     * records, host window, completion log, latency stats, source cursor,
+     * fault state). Subclass saveCheckpoint overrides call these first,
+     * then append their scheduler and device state.
      */
     void saveBaseState(CheckpointWriter& w) const;
     void loadBaseState(CheckpointReader& r);
+
+    /**
+     * Restore-time binding of a queued or retrying op (or run of @p n
+     * ops) to its record: fatal unless op.slot names a live record, then
+     * give the op that request's arrival and count its ops. A subclass
+     * calls it for every op it restored, then checkRestoredOps().
+     */
+    void adoptRestoredOp(OpTicket& op, int n = 1);
+
+    /**
+     * Fatal unless each live record's queued and retrying ops (as
+     * adopted) plus its not-yet-admitted ones add up to its op count.
+     */
+    void checkRestoredOps();
 
     Tick now_ = 0;
     /**
@@ -831,10 +851,10 @@ class ChannelControllerBase : public IMemoryController
      * to one enabled() branch.
      */
     FaultInjector faults_;
-    std::deque<Request> host_;
-    /** Next not-yet-admitted chunk index of host_.front(). */
+    /** The host window: slots of requests not yet fully admitted, FIFO. */
+    std::deque<int> host_;
+    /** Next not-yet-admitted chunk index of the front request. */
     std::uint64_t frontChunk_ = 0;
-    std::unordered_map<std::uint64_t, ReqState> inflight_;
     std::vector<Completion> completions_;
     Accumulator latencyNs_;
     LatencyHistogram latencyHistNs_;
@@ -855,20 +875,25 @@ class ChannelControllerBase : public IMemoryController
     TelemetrySink* sink_ = nullptr;
 
   private:
-    /**
-     * Account one finished operation of request @p req_id; records the
-     * completion and samples latency when it was the last one.
-     */
-    void noteOpDone(std::uint64_t req_id, Tick data_end, bool poisoned,
-                    Tick retry_wait);
+    /** One host request from enqueue to completion: a slot-table entry. */
+    struct ReqRecord
+    {
+        Request req;
+        /** Ops not yet completed; 0 marks a free slot. */
+        int opsRemaining = 0;
+        /** Any op of this request read poisoned (DUE) data. */
+        bool poisoned = false;
+        /** Issue tick of the first op handed off (latency breakdown). */
+        Tick firstIssue = kTickInvalid;
+        /** Retry backoff accumulated across the request's ops. */
+        Tick retryTicks = 0;
+    };
 
     /**
-     * Completion fast path for a request that decomposed into exactly one
-     * operation (known from its admission-time chunking; the op carries
-     * the arrival tick): no in-flight map traffic.
+     * The last op of the request in @p slot finished at @p data_end:
+     * record the completion and its latency, then free the slot.
      */
-    void noteSingleOpDone(std::uint64_t req_id, Tick arrival, Tick data_end,
-                          bool poisoned, Tick retry_wait, Tick link_delay);
+    void retire(int slot, Tick data_end);
 
     /** Emit the spare instant and rewrite queued and retrying ops. */
     template <class OpT>
@@ -882,9 +907,8 @@ class ChannelControllerBase : public IMemoryController
     }
 
     /** Record breakdown components and push a time-series observation. */
-    void telemetrySampleCompletion(Tick arrival, Tick data_end,
-                                   Tick first_issue, Tick retry_ticks,
-                                   Tick link_delay, Completion* c);
+    void telemetrySampleCompletion(const ReqRecord& rec, Tick data_end,
+                                   Completion* c);
 
     /** Pull from source_ until the host window is full or it runs dry. */
     void refillFromSource();
@@ -895,13 +919,16 @@ class ChannelControllerBase : public IMemoryController
     /** Requests ever pulled from bound sources — the checkpointed source
      *  cursor resumeSource() fast-forwards a fresh stream to. */
     std::uint64_t sourcePulled_ = 0;
-    std::size_t sourceWindow_ = 8;
     std::size_t hostPeak_ = 0;
+    /** Request records, indexed by OpTicket::slot. */
+    std::vector<ReqRecord> slots_;
+    /** Free slots, reused last-freed first. */
+    std::vector<int> freeSlots_;
+    /** Restore scratch: ops adopted per slot (adoptRestoredOp). */
+    std::vector<std::int64_t> restoreTally_;
     std::uint64_t completedCount_ = 0;
     /** Completed requests whose data carried at least one DUE. */
     std::uint64_t poisonedCount_ = 0;
-    /** In-flight single-operation requests (kept out of inflight_). */
-    std::uint64_t singleOpsPending_ = 0;
     bool retainCompletions_ = true;
     /** Scratch for scrub-driven spare events (reused across calls). */
     std::vector<SpareEvent> scrubEvents_;
@@ -928,7 +955,8 @@ ChannelControllerBase::recoverRead(const OpT& op, Tick data_end,
         // between the (re)issue decision and that point is retry backoff,
         // subtracted from the request's queueing component.
         if (telemetry_ && ready_at > now_)
-            next.retryWait += ready_at - now_;
+            slots_[static_cast<std::size_t>(op.slot)].retryTicks +=
+                ready_at - now_;
         if (sink_ != nullptr)
             sink_->instant("retry", TelemetrySink::kChannelTrack, now_);
         retries.push(next, ready_at);
@@ -1029,7 +1057,6 @@ class ChannelSimEngine
     ControllerStats totals() const;
 
     int threads() const { return threads_; }
-    void setThreads(int threads) { threads_ = threads; }
 
   private:
     int threads_;

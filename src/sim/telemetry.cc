@@ -153,11 +153,14 @@ TimeSeries::loadState(CheckpointReader& r)
 {
     period_ = r.getI64();
     next_ = r.getI64();
-    capacity_ = r.getI32();
+    // The capacity is configuration; the ring never holds more samples.
+    const int capacity = r.getI32();
     const std::size_t n = r.getCount();
+    if (capacity != capacity_ || n > static_cast<std::size_t>(capacity_))
+        fatal("time series of %d slots cannot restore %zu of %d", capacity_,
+              n, capacity);
     samples_.clear();
-    samples_.reserve(static_cast<std::size_t>(
-        std::max(capacity_, static_cast<int>(n))));
+    samples_.reserve(static_cast<std::size_t>(capacity_));
     for (std::size_t i = 0; i < n; ++i) {
         TimeSample s;
         s.completed = r.getU64();

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "common/checkpoint.h"
+#include "common/random.h"
 #include "common/types.h"
 #include "dram/hbm4_config.h"
 #include "mc/mc.h"
@@ -118,6 +119,13 @@ expectCheckpointRoundTrip(MakeMc make, const std::vector<Request>& reqs,
         auto b = make();
         restoreControllerCheckpoint(*b, blob);
         EXPECT_EQ(b->now(), a->now()) << label;
+        // A checkpoint is a pure function of the run: the twin saved at a
+        // later tick matches the original saved there.
+        const Tick later = mid + (end - mid) / 2;
+        a->runUntil(later);
+        b->runUntil(later);
+        EXPECT_EQ(saveControllerCheckpoint(*b), saveControllerCheckpoint(*a))
+            << label << ": resumed blob diverged (mid=" << mid << ")";
         b->runUntil(end);
         EXPECT_TRUE(want == b->stats())
             << label << ": restored twin diverged (mid=" << mid << ")";
@@ -169,6 +177,12 @@ expectStreamingCheckpointRoundTrip(MakeMc make,
         restoreControllerCheckpoint(*b, blob);
         ReplaySource b_src(reqs);
         b->resumeSource(&b_src);
+        const Tick later = mid + (end - mid) / 2;
+        a->runUntil(later);
+        b->runUntil(later);
+        EXPECT_EQ(saveControllerCheckpoint(*b), saveControllerCheckpoint(*a))
+            << label << ": resumed streaming blob diverged (mid=" << mid
+            << ")";
         b->runUntil(end);
         EXPECT_TRUE(want == b->stats())
             << label << ": streaming restore diverged (mid=" << mid << ")";
@@ -372,11 +386,163 @@ TEST(Checkpoint, ConventionalResumeMidWriteDrainWithRetries)
     EXPECT_TRUE(want == a->stats()) << "original diverged at " << t;
 }
 
+/** Little-endian u64 at @p at in @p blob. */
+std::uint64_t
+getU64At(const std::vector<std::uint8_t>& blob, std::size_t at)
+{
+    std::uint64_t v = 0;
+    for (int k = 0; k < 8; ++k)
+        v |= static_cast<std::uint64_t>(blob[at + static_cast<std::size_t>(k)])
+             << (8 * k);
+    return v;
+}
+
+void
+putU64At(std::vector<std::uint8_t>& blob, std::size_t at, std::uint64_t v)
+{
+    for (int k = 0; k < 8; ++k)
+        blob[at + static_cast<std::size_t>(k)] =
+            static_cast<std::uint8_t>(v >> (8 * k));
+}
+
+/** Little-endian i32 at @p at in @p blob. */
+std::int32_t
+getI32At(const std::vector<std::uint8_t>& blob, std::size_t at)
+{
+    std::uint32_t v = 0;
+    for (int k = 0; k < 4; ++k)
+        v |= static_cast<std::uint32_t>(blob[at + static_cast<std::size_t>(k)])
+             << (8 * k);
+    return static_cast<std::int32_t>(v);
+}
+
+/** Overwrite @p width little-endian bytes of @p v at @p at in @p blob. */
+void
+putAt(std::vector<std::uint8_t>& blob, std::size_t at, std::uint64_t v,
+      int width)
+{
+    for (int k = 0; k < width; ++k)
+        blob[at + static_cast<std::size_t>(k)] =
+            static_cast<std::uint8_t>(v >> (8 * k));
+}
+
+/** Offset of the first of the @p hits occurrences of @p id in @p blob. */
+std::size_t
+findU64(const std::vector<std::uint8_t>& blob, std::uint64_t id, int hits)
+{
+    std::size_t at = blob.size();
+    int found = 0;
+    for (std::size_t i = 0; i + 8 <= blob.size(); ++i) {
+        if (getU64At(blob, i) == id && found++ == 0)
+            at = i;
+    }
+    EXPECT_EQ(found, hits) << std::hex << id;
+    return at;
+}
+
+/**
+ * Where @p mc's device state sits in its checkpoint @p blob, as the
+ * offset of its first byte (blob.size() when it is missing or not
+ * unique); @p dev receives the device state itself.
+ */
+std::size_t
+findDeviceState(const std::vector<std::uint8_t>& blob,
+                const ChannelControllerBase& mc,
+                std::vector<std::uint8_t>& dev)
+{
+    CheckpointWriter w;
+    mc.device().saveState(w);
+    dev = w.take();
+    const auto found = std::search(blob.begin(), blob.end(), dev.begin(),
+                                   dev.end());
+    if (found == blob.end() ||
+        std::search(found + 1, blob.end(), dev.begin(), dev.end()) !=
+            blob.end())
+        return blob.size();
+    return static_cast<std::size_t>(found - blob.begin());
+}
+
+/** Offset just past @p mc's device state in @p blob. */
+std::size_t
+deviceEnd(const std::vector<std::uint8_t>& blob,
+          const ChannelControllerBase& mc)
+{
+    std::vector<std::uint8_t> dev;
+    const std::size_t at = findDeviceState(blob, mc, dev);
+    EXPECT_LT(at, blob.size()) << "device state not found once in the blob";
+    return at < blob.size() ? at + dev.size() : blob.size();
+}
+
+/** A request record: the request (id u64, kind u8, addr/size u64,
+ *  arrival/link i64), ops left i32, poisoned u8, first issue and retry
+ *  ticks i64. */
+constexpr std::size_t kRecordBytes = 62;
+constexpr std::size_t kRecordOpsLeft = 41;
+
+/**
+ * The conventional controller's op pool, which follows its device state:
+ * the legacy read and write queues (empty with the indexed scheduler),
+ * then the pool nodes and the free-node list. A node is the head op
+ * (address 6 x i32, slot i32, kind u8, attempt i32), head seq u64, then
+ * run count, seq stride, bank, prev and next as i32.
+ */
+struct Hbm4Pool
+{
+    static constexpr std::size_t kNodeBytes = 61;
+    static constexpr std::size_t kSlot = 24;
+    static constexpr std::size_t kSeq = 33;
+    static constexpr std::size_t kCount = 41;
+    static constexpr std::size_t kStride = 45;
+    static constexpr std::size_t kBank = 49;
+    static constexpr std::size_t kPrev = 53;
+    static constexpr std::size_t kNext = 57;
+
+    std::size_t first = 0;      ///< offset of node 0
+    std::vector<bool> isFree;   ///< per node
+
+    std::size_t node(int i) const
+    {
+        return first + kNodeBytes * static_cast<std::size_t>(i);
+    }
+};
+
+Hbm4Pool
+walkHbm4Pool(const std::vector<std::uint8_t>& blob, std::size_t dev_end)
+{
+    constexpr std::size_t kLegacyOpBytes = 33;
+    std::size_t at = dev_end;
+    for (int q = 0; q < 2; ++q)
+        at += 8 + kLegacyOpBytes * getU64At(blob, at);
+    Hbm4Pool p;
+    const std::uint64_t nodes = getU64At(blob, at);
+    p.first = at + 8;
+    at = p.node(static_cast<int>(nodes));
+    p.isFree.assign(nodes, false);
+    const std::uint64_t nfree = getU64At(blob, at);
+    for (std::uint64_t i = 0; i < nfree; ++i)
+        p.isFree.at(static_cast<std::size_t>(
+            getI32At(blob, at + 8 + 4 * i))) = true;
+    return p;
+}
+
+/** RoMe row op: kind u8, sid/vba/row i32, slot i32, useful bytes u64,
+ *  attempt i32. */
+constexpr std::size_t kRowOpBytes = 29;
+constexpr std::size_t kRowOpSlot = 13;
+
+/** Offset of RoMe's first queued row op: past the device state, the
+ *  command generator's three counters and the queue's length. */
+std::size_t
+romeQueue(std::size_t dev_end)
+{
+    return dev_end + 24 + 8;
+}
+
 TEST(Checkpoint, CorruptedOpListIndexIsFatal)
 {
-    // Two queued reads to one bank form a two-node op list. Their pool
-    // nodes are found in the blob by the distinctive request ids; every
-    // single corrupted link or bank index must be refused on restore.
+    // Two queued reads to one bank form a two-node op list, the pool's
+    // only nodes; every single corrupted link or bank index must be
+    // refused on restore.
     const DramConfig dram = hbm4Config();
     const auto make = [&] {
         return std::make_unique<ConventionalMc>(
@@ -395,41 +561,21 @@ TEST(Checkpoint, CorruptedOpListIndexIsFatal)
     mc->runUntil(0); // both admitted, the bank activated, no CAS yet
     const auto blob = saveControllerCheckpoint(*mc);
 
-    const auto find_id = [&blob](std::uint64_t id) {
-        std::size_t at = blob.size();
-        int hits = 0;
-        for (std::size_t i = 0; i + 8 <= blob.size(); ++i) {
-            std::uint64_t v = 0;
-            for (int k = 0; k < 8; ++k)
-                v |= static_cast<std::uint64_t>(blob[i + k]) << (8 * k);
-            if (v == id) {
-                at = i;
-                ++hits;
-            }
-        }
-        EXPECT_EQ(hits, 1) << std::hex << id;
-        return at;
+    // Node i holds request i's op (slot i); bank, prev and next follow.
+    const Hbm4Pool pool = walkHbm4Pool(blob, deviceEnd(blob, *mc));
+    ASSERT_EQ(pool.isFree.size(), 2u);
+    const auto field = [&pool](int node, int which) {
+        return pool.node(node) + Hbm4Pool::kBank +
+               4 * static_cast<std::size_t>(which);
     };
-    // Pool node layout after the request id: kind u8, arrival i64,
-    // singleOp u8, attempt i32, retryWait i64, linkDelay i64, head seq
-    // u64, then run count, seq stride, bank, prev and next as i32.
-    const auto field = [](std::size_t id_at, int which) {
-        return id_at + 54 + 4 * static_cast<std::size_t>(which);
-    };
-    const std::size_t n0 = find_id(id0);
-    const std::size_t n1 = find_id(id1);
-    ASSERT_LT(n0, blob.size());
-    ASSERT_LT(n1, blob.size());
-    const auto get_i32 = [&blob](std::size_t at) {
-        std::uint32_t v = 0;
-        for (int k = 0; k < 4; ++k)
-            v |= static_cast<std::uint32_t>(blob[at + k]) << (8 * k);
-        return static_cast<std::int32_t>(v);
-    };
-    ASSERT_EQ(get_i32(field(n0, 0)), bank);
-    ASSERT_EQ(get_i32(field(n0, 1)), -1);
-    ASSERT_EQ(get_i32(field(n0, 2)), 1);
-    ASSERT_EQ(get_i32(field(n1, 1)), 0);
+    const std::size_t n0 = 0;
+    const std::size_t n1 = 1;
+    ASSERT_EQ(getI32At(blob, pool.node(0) + Hbm4Pool::kSlot), 0);
+    ASSERT_EQ(getI32At(blob, pool.node(1) + Hbm4Pool::kSlot), 1);
+    ASSERT_EQ(getI32At(blob, field(n0, 0)), bank);
+    ASSERT_EQ(getI32At(blob, field(n0, 1)), -1);
+    ASSERT_EQ(getI32At(blob, field(n0, 2)), 1);
+    ASSERT_EQ(getI32At(blob, field(n1, 1)), 0);
 
     {
         auto twin = make();
@@ -463,25 +609,6 @@ TEST(Checkpoint, CorruptedOpListIndexIsFatal)
                      std::runtime_error)
             << m.what;
     }
-}
-
-/** Little-endian u64 at @p at in @p blob. */
-std::uint64_t
-getU64At(const std::vector<std::uint8_t>& blob, std::size_t at)
-{
-    std::uint64_t v = 0;
-    for (int k = 0; k < 8; ++k)
-        v |= static_cast<std::uint64_t>(blob[at + static_cast<std::size_t>(k)])
-             << (8 * k);
-    return v;
-}
-
-void
-putU64At(std::vector<std::uint8_t>& blob, std::size_t at, std::uint64_t v)
-{
-    for (int k = 0; k < 8; ++k)
-        blob[at + static_cast<std::size_t>(k)] =
-            static_cast<std::uint8_t>(v >> (8 * k));
 }
 
 /** Where ChannelDevice::saveState put the fields restore must check. */
@@ -544,16 +671,10 @@ expectCorruptDeviceFieldsAreFatal(MakeMc make,
     enqueueAll(*mc, reqs);
     mc->runUntil(3_us);
     const auto blob = saveControllerCheckpoint(*mc);
-    CheckpointWriter w;
-    mc->device().saveState(w);
-    const std::vector<std::uint8_t>& dev = w.data();
-    const auto found = std::search(blob.begin(), blob.end(), dev.begin(),
-                                   dev.end());
-    ASSERT_NE(found, blob.end()) << label;
-    ASSERT_EQ(std::search(found + 1, blob.end(), dev.begin(), dev.end()),
-              blob.end())
-        << label << ": device blob is not unique in the checkpoint";
-    const auto base = static_cast<std::size_t>(found - blob.begin());
+    std::vector<std::uint8_t> dev;
+    const std::size_t base = findDeviceState(blob, *mc, dev);
+    ASSERT_LT(base, blob.size())
+        << label << ": device blob not found once in the checkpoint";
     const DeviceBlobFields f = walkDeviceBlob(dev);
     ASSERT_FALSE(f.actWindowHeads.empty()) << label;
 
@@ -637,30 +758,23 @@ TEST(Checkpoint, CorruptedOpRunIsFatal)
     mc->runUntil(0); // both admitted, no CAS yet
     const auto blob = saveControllerCheckpoint(*mc);
 
-    // The pool is the last place an id is saved (after the in-flight
-    // requests), in node order: an id's first of its last eight hits is
-    // its run in the bank of line 0 (node 0 or node 8).
-    const auto first_id = [&blob](std::uint64_t id) {
-        std::vector<std::size_t> hits;
-        for (std::size_t i = 0; i + 8 <= blob.size(); ++i) {
-            if (getU64At(blob, i) == id)
-                hits.push_back(i);
-        }
-        EXPECT_GE(hits.size(), 8u) << std::hex << id;
-        return hits.size() < 8 ? blob.size() : hits[hits.size() - 8];
-    };
-    const std::size_t a = first_id(id0);
-    const std::size_t b = first_id(id1);
-    ASSERT_LT(a, blob.size());
-    ASSERT_LT(b, blob.size());
+    // Nodes are taken in admission order: request 0's eight runs are
+    // nodes 0-7, request 1's nodes 8-15, so each request's run in the
+    // bank of line 0 is node 0 or node 8.
+    const Hbm4Pool pool = walkHbm4Pool(blob, deviceEnd(blob, *mc));
+    ASSERT_EQ(pool.isFree.size(), 16u);
+    const std::size_t a = pool.node(0);
+    const std::size_t b = pool.node(8);
+    ASSERT_EQ(getI32At(blob, a + Hbm4Pool::kSlot), 0);
+    ASSERT_EQ(getI32At(blob, b + Hbm4Pool::kSlot), 1);
     const auto get_i32 = [&blob](std::size_t at) {
-        return static_cast<std::int32_t>(getU64At(blob, at) & 0xffffffffu);
+        return getI32At(blob, at);
     };
-    // After the id: 30 bytes of ticket and kind, the head seq, then count,
-    // stride and bank.
-    const auto seq_at = [](std::size_t id_at) { return id_at + 38; };
-    const auto count_at = [](std::size_t id_at) { return id_at + 46; };
-    const auto stride_at = [](std::size_t id_at) { return id_at + 50; };
+    const auto seq_at = [](std::size_t n) { return n + Hbm4Pool::kSeq; };
+    const auto count_at = [](std::size_t n) { return n + Hbm4Pool::kCount; };
+    const auto stride_at = [](std::size_t n) {
+        return n + Hbm4Pool::kStride;
+    };
     ASSERT_EQ(getU64At(blob, seq_at(a)), 0u);
     ASSERT_EQ(get_i32(count_at(a)), 4);
     ASSERT_EQ(get_i32(stride_at(a)), 8);
@@ -725,38 +839,14 @@ TEST(Checkpoint, CorruptedDeviceRecordsAreFatal)
         reqs, "rome");
 }
 
-/** Overwrite @p width little-endian bytes of @p v at @p at in @p blob. */
-void
-putAt(std::vector<std::uint8_t>& blob, std::size_t at, std::uint64_t v,
-      int width)
-{
-    for (int k = 0; k < width; ++k)
-        blob[at + static_cast<std::size_t>(k)] =
-            static_cast<std::uint8_t>(v >> (8 * k));
-}
-
-/** Offset of the first of the @p hits occurrences of @p id in @p blob. */
-std::size_t
-findU64(const std::vector<std::uint8_t>& blob, std::uint64_t id, int hits)
-{
-    std::size_t at = blob.size();
-    int found = 0;
-    for (std::size_t i = 0; i + 8 <= blob.size(); ++i) {
-        if (getU64At(blob, i) == id && found++ == 0)
-            at = i;
-    }
-    EXPECT_EQ(found, hits) << std::hex << id;
-    return at;
-}
-
 TEST(Checkpoint, CorruptedRomeRecordsAreFatal)
 {
     // A read to a stuck row waits out a long ECC retry backoff, a second
     // read is still queued behind the Table III gap, and a two-row write
-    // arriving later sits in the host window (and the in-flight map).
-    // Each is found in the blob by its request id; the refresh rotation
-    // and the VBA state table are located from the retry queue, the
-    // blob's last variable section.
+    // arriving later sits in the host window. Their records are found in
+    // the blob by request id (slots 0, 1 and 2); the queued op follows
+    // the device state, and the refresh rotation and the VBA state table
+    // are located from the retry queue, the blob's last variable section.
     const DramConfig dram = hbm4Config();
     RomeMcConfig cfg;
     cfg.refreshEnabled = false;
@@ -779,27 +869,32 @@ TEST(Checkpoint, CorruptedRomeRecordsAreFatal)
     mc->runUntil(0);
     const auto blob = saveControllerCheckpoint(*mc);
 
-    // Row op: kind u8, sid/vba/row i32, then the request id.
-    const std::size_t retry_op = findU64(blob, retried, 1) - 13;
-    const std::size_t queued_op = findU64(blob, queued, 1) - 13;
-    // Host request: id u64, kind u8, addr/size u64, arrival/link i64;
-    // then the admission chunk u64 and the in-flight map: count, id,
-    // arrival i64, ops left i32.
-    const std::size_t host_req = findU64(blob, hosted, 2);
-    ASSERT_LT(retry_op, blob.size());
-    ASSERT_LT(queued_op, blob.size());
+    // The last record is the hosted write's; the host window (count u64,
+    // one slot i32) and the admission chunk u64 follow it.
+    ASSERT_EQ(findU64(blob, retried, 1) + 2 * kRecordBytes,
+              findU64(blob, queued, 1) + kRecordBytes);
+    const std::size_t host_req = findU64(blob, hosted, 1);
     ASSERT_LT(host_req, blob.size());
-    const std::size_t front_chunk = host_req + 41;
-    const std::size_t ops_left = host_req + 73;
-    ASSERT_EQ(getU64At(blob, front_chunk), 0u);
-    ASSERT_EQ(getU64At(blob, front_chunk + 16), hosted);
+    const std::size_t ops_left = host_req + kRecordOpsLeft;
+    const std::size_t host_window = host_req + kRecordBytes;
+    const std::size_t front_chunk = host_window + 12;
     ASSERT_EQ(blob[ops_left], 2);
-    // Retry queue: count, then its one (op, ready tick); before it the
-    // refresh rotation (interval i64, due i64, cursor i32), and before
-    // that the last-command record (tick i64, write u8, sid i32, then a
-    // present VBA: u8 + three i32) after the per-VBA state bytes.
-    const std::size_t retry_count = retry_op - 8;
+    ASSERT_EQ(getU64At(blob, host_window), 1u);
+    ASSERT_EQ(getI32At(blob, host_window + 8), 2);
+    ASSERT_EQ(getU64At(blob, front_chunk), 0u);
+    const std::size_t queued_op = romeQueue(deviceEnd(blob, *mc));
+    ASSERT_EQ(getU64At(blob, queued_op - 8), 1u);
+    ASSERT_EQ(getI32At(blob, queued_op + kRowOpSlot), 1);
+    // Retry queue: count, then its one (op, ready tick), then its next
+    // retry tick, the overfetch counter and two i32 high-water marks end
+    // the blob. Before it the refresh rotation (interval i64, due i64,
+    // cursor i32), and before that the last-command record (tick i64,
+    // write u8, sid i32, then a present VBA: u8 + three i32) after the
+    // per-VBA state bytes.
+    const std::size_t retry_count = blob.size() - 24 - kRowOpBytes - 16;
+    const std::size_t retry_op = retry_count + 8;
     ASSERT_EQ(getU64At(blob, retry_count), 1u);
+    ASSERT_EQ(getI32At(blob, retry_op + kRowOpSlot), 0);
     const std::size_t cursor = retry_count - 4;
     const std::size_t interval = retry_count - 20;
     const VbaMap& map = mc->vbaMap();
@@ -855,6 +950,275 @@ TEST(Checkpoint, CorruptedRomeRecordsAreFatal)
         {"admission chunk past the front request", front_chunk, 2, 8},
         {"no ops left in flight", ops_left, 0, 4},
         {"negative ops left in flight", ops_left, i32(-1), 4},
+    };
+    for (const Mutation& m : mutations) {
+        auto bad = blob;
+        putAt(bad, m.at, m.value, m.width);
+        auto twin = make();
+        EXPECT_THROW(restoreControllerCheckpoint(*twin, bad),
+                     std::runtime_error)
+            << m.what;
+    }
+}
+
+/**
+ * A checkpoint taken with a multi-op request in flight next to a freed
+ * slot: request 0 (one op) has completed, request 1's ops are queued
+ * (some may still wait for admission) and request 2 waits in the host
+ * window. Slots are handed out in enqueue order, so the table holds
+ * slot 0 free and the live records 1 and 2.
+ */
+struct InFlightBlob
+{
+    std::vector<std::uint8_t> blob;
+    std::size_t rec1 = 0;     ///< request 1's record
+    std::size_t hostSlot = 0; ///< the host window's first slot (i32)
+    /** Slot fields (i32) of request 1's queued ops. */
+    std::vector<std::size_t> opSlots;
+};
+
+template <typename Mc, typename FindOpSlots>
+InFlightBlob
+inFlightBlob(Mc& mc, std::uint64_t op_bytes, FindOpSlots find_op_slots)
+{
+    const std::uint64_t id0 = 0x51075107c0de0001ull;
+    const std::uint64_t id1 = 0x51075107c0de0002ull;
+    const std::uint64_t id2 = 0x51075107c0de0003ull;
+    mc.enqueue({id0, ReqKind::Read, 0, op_bytes, 0});
+    mc.enqueue({id1, ReqKind::Read, 64 * op_bytes, 16 * op_bytes, 0});
+    mc.enqueue({id2, ReqKind::Write, 128 * op_bytes, 2 * op_bytes, 1_ms});
+    for (Tick t = 0; mc.completions().empty() && t < 1_ms; t += 1_ns)
+        mc.runUntil(t);
+    EXPECT_EQ(mc.completions().size(), 1u);
+    EXPECT_EQ(mc.completions().front().id, id0);
+
+    InFlightBlob f;
+    f.blob = saveControllerCheckpoint(mc);
+    f.rec1 = findU64(f.blob, id1, 1);
+    const std::size_t rec2 = findU64(f.blob, id2, 1);
+    EXPECT_EQ(rec2, f.rec1 + kRecordBytes);
+    // Slot count and free list (count, slot 0) precede the records; the
+    // host window (count, slots) follows them.
+    EXPECT_EQ(getU64At(f.blob, f.rec1 - 20), 3u);
+    EXPECT_EQ(getU64At(f.blob, f.rec1 - 12), 1u);
+    EXPECT_EQ(getI32At(f.blob, f.rec1 - 4), 0);
+    f.hostSlot = rec2 + kRecordBytes + 8;
+    EXPECT_GE(getU64At(f.blob, f.hostSlot - 8), 1u);
+    f.opSlots = find_op_slots(f.blob);
+    return f;
+}
+
+/**
+ * Corrupt one request-record field or op slot at a time and expect
+ * restore to refuse each; then flip single bytes of the intact blob at
+ * seeded random offsets, where restore may succeed or fatal but must
+ * never panic or crash.
+ */
+template <typename MakeMc>
+void
+expectCorruptRecordsAreFatal(MakeMc make, const InFlightBlob& f,
+                             const std::string& label)
+{
+    ASSERT_FALSE(f.opSlots.empty()) << label << ": no queued op in flight";
+    const int ops_left = getI32At(f.blob, f.rec1 + kRecordOpsLeft);
+    ASSERT_GE(ops_left, 2) << label;
+    {
+        auto twin = make();
+        restoreControllerCheckpoint(*twin, f.blob); // the intact blob loads
+        EXPECT_EQ(saveControllerCheckpoint(*twin), f.blob) << label;
+    }
+    const auto i32 = [](std::int64_t v) {
+        return static_cast<std::uint64_t>(static_cast<std::uint32_t>(v));
+    };
+    struct Mutation
+    {
+        const char* what;
+        std::size_t at;
+        std::uint64_t value;
+    };
+    const std::size_t op = f.opSlots.front();
+    const Mutation mutations[] = {
+        {"op slot past the table", op, 3},
+        {"negative op slot", op, i32(-1)},
+        {"op slot far out of range", op, i32(1 << 30)},
+        {"op slot of a free entry", op, 0},
+        {"op slot of another live record", op, 2},
+        {"record op count + 1", f.rec1 + kRecordOpsLeft, i32(ops_left + 1)},
+        {"record op count - 1", f.rec1 + kRecordOpsLeft, i32(ops_left - 1)},
+        {"host-window slot free", f.hostSlot, 0},
+        {"host-window slot past the table", f.hostSlot, 3},
+    };
+    for (const Mutation& m : mutations) {
+        auto bad = f.blob;
+        putAt(bad, m.at, m.value, 4);
+        auto twin = make();
+        EXPECT_THROW(restoreControllerCheckpoint(*twin, bad),
+                     std::runtime_error)
+            << label << ": " << m.what;
+    }
+
+    Rng rng(0xf11b5eedULL);
+    int refused = 0;
+    constexpr int kFlips = 2000;
+    for (int i = 0; i < kFlips; ++i) {
+        auto bad = f.blob;
+        const std::size_t at = rng.below(bad.size());
+        bad[at] ^= static_cast<std::uint8_t>(1 + rng.below(255));
+        auto twin = make();
+        try {
+            restoreControllerCheckpoint(*twin, bad);
+        } catch (const std::runtime_error&) {
+            ++refused; // fatal: refused cleanly
+        } catch (const std::exception& e) {
+            ADD_FAILURE() << label << ": flipping byte " << at
+                          << " escaped restore: " << e.what();
+        }
+    }
+    EXPECT_GT(refused, 0) << label;
+}
+
+TEST(Checkpoint, CorruptedRequestRecordsAreFatal)
+{
+    const DramConfig dram = hbm4Config();
+    {
+        const auto make = [&] {
+            return std::make_unique<ConventionalMc>(
+                dram, bestBaselineMapping(dram.org), McConfig{});
+        };
+        auto mc = make();
+        const InFlightBlob f = inFlightBlob(
+            *mc, dram.org.columnBytes, [&](const auto& blob) {
+                std::vector<std::size_t> slots;
+                const Hbm4Pool pool =
+                    walkHbm4Pool(blob, deviceEnd(blob, *mc));
+                for (int n = 0; n < static_cast<int>(pool.isFree.size());
+                     ++n) {
+                    const std::size_t at = pool.node(n) + Hbm4Pool::kSlot;
+                    if (!pool.isFree[static_cast<std::size_t>(n)] &&
+                        getI32At(blob, at) == 1)
+                        slots.push_back(at);
+                }
+                return slots;
+            });
+        expectCorruptRecordsAreFatal(make, f, "hbm4");
+    }
+    {
+        const auto make = [&] {
+            return std::make_unique<RomeMc>(dram, VbaDesign::adopted(),
+                                            RomeMcConfig{});
+        };
+        auto mc = make();
+        const InFlightBlob f = inFlightBlob(
+            *mc, mc->vbaMap().effectiveRowBytes(), [&](const auto& blob) {
+                std::vector<std::size_t> slots;
+                const std::size_t first =
+                    romeQueue(deviceEnd(blob, *mc));
+                const std::uint64_t n = getU64At(blob, first - 8);
+                for (std::uint64_t i = 0; i < n; ++i) {
+                    const std::size_t at = first + kRowOpBytes * i +
+                                           kRowOpSlot;
+                    if (getI32At(blob, at) == 1)
+                        slots.push_back(at);
+                }
+                return slots;
+            });
+        expectCorruptRecordsAreFatal(make, f, "rome");
+    }
+}
+
+TEST(Checkpoint, CorruptedHybridRequestKindIsFatal)
+{
+    // A streaming hybrid mid-run holds requests of its own: staged for
+    // the sibling partition or peeked by a partition feed. They follow
+    // both partitions' states in the blob and share the host requests'
+    // codec, so a bad kind byte is refused.
+    const DramConfig dram = hbm4Config();
+    const auto reqs = hybridWorkload();
+    HybridMc mc(dram, HybridConfig{});
+    ReplaySource src(reqs);
+    mc.bindSource(&src);
+    mc.runUntil(2_us);
+    const auto blob = saveControllerCheckpoint(mc);
+
+    CheckpointWriter parts;
+    mc.romePartition().saveCheckpoint(parts);
+    mc.finePartition().saveCheckpoint(parts);
+    // Envelope: magic u32, version u32, then the name string.
+    std::size_t at = 4 + 4 + 8 + mc.name().size() + parts.data().size();
+    std::vector<std::size_t> held;
+    for (int side = 0; side < 2; ++side) {
+        const std::uint64_t n = getU64At(blob, at);
+        at += 8;
+        for (std::uint64_t i = 0; i < n; ++i, at += 41)
+            held.push_back(at);
+    }
+    at += 8 + 8 + 1; // staging peak, pulled count, had-source flag
+    for (int feed = 0; feed < 2; ++feed) {
+        if (blob.at(at++) != 0) {
+            held.push_back(at);
+            at += 41;
+        }
+        ++at; // ended flag
+    }
+    ASSERT_EQ(at, blob.size());
+    ASSERT_FALSE(held.empty()) << "no staged or peeked request to corrupt";
+
+    {
+        HybridMc twin(dram, HybridConfig{});
+        restoreControllerCheckpoint(twin, blob); // the intact blob loads
+    }
+    for (const std::size_t req : held) {
+        for (const std::uint8_t kind : {std::uint8_t{2}, std::uint8_t{0xff}}) {
+            auto bad = blob;
+            bad[req + 8] = kind;
+            HybridMc twin(dram, HybridConfig{});
+            EXPECT_THROW(restoreControllerCheckpoint(twin, bad),
+                         std::runtime_error)
+                << "kind " << int{kind} << " at " << req;
+        }
+    }
+}
+
+TEST(Checkpoint, CorruptedTimeSeriesIsFatal)
+{
+    // The time-series ring's capacity is configuration: a blob claiming
+    // another one, or more samples than the ring holds, is refused before
+    // anything is reserved for it. The series state is found by its
+    // distinctive sample period, longer than the run, so the next sample
+    // boundary still equals it: period, next boundary, capacity, count.
+    const DramConfig dram = hbm4Config();
+    McConfig cfg;
+    cfg.telemetry.counters = true;
+    cfg.telemetry.samplePeriod = 0x5e71e5;
+    const auto make = [&] {
+        return std::make_unique<ConventionalMc>(
+            dram, bestBaselineMapping(dram.org), cfg);
+    };
+    auto mc = make();
+    enqueueAll(*mc, mixedWorkload(359, 0.3));
+    mc->runUntil(3_us);
+    const auto blob = saveControllerCheckpoint(*mc);
+    const std::size_t period = findU64(blob, 0x5e71e5, 2);
+    ASSERT_LT(period, blob.size());
+    ASSERT_EQ(getU64At(blob, period + 8), 0x5e71e5u);
+    const std::size_t capacity = period + 16;
+    ASSERT_EQ(getI32At(blob, capacity), cfg.telemetry.sampleCapacity);
+    {
+        auto twin = make();
+        restoreControllerCheckpoint(*twin, blob); // the intact blob loads
+    }
+    struct Mutation
+    {
+        const char* what;
+        std::size_t at;
+        std::uint64_t value;
+        int width;
+    };
+    const Mutation mutations[] = {
+        {"capacity of 2^30 slots", capacity, 1u << 30, 4},
+        {"capacity below the configured one", capacity, 4, 4},
+        {"more samples than the ring holds", capacity + 4,
+         static_cast<std::uint64_t>(cfg.telemetry.sampleCapacity) + 1, 8},
     };
     for (const Mutation& m : mutations) {
         auto bad = blob;
@@ -983,6 +1347,15 @@ TEST(Checkpoint, ReaderRejectsTrailingBytes)
         CheckpointReader r(blob);
         EXPECT_EQ(r.getU64(), 7u);
         EXPECT_THROW(r.finish(), std::runtime_error);
+    }
+    {
+        // A string length that would wrap the read position around.
+        CheckpointWriter huge;
+        huge.putU64(~0ull - 3);
+        huge.putU64(0);
+        const auto bytes = huge.take();
+        CheckpointReader r(bytes);
+        EXPECT_THROW(r.getStr(), std::runtime_error);
     }
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the common substrate: tick arithmetic, stats primitives,
- * deterministic RNG, the event queue kernel, and table rendering.
+ * deterministic RNG and table rendering.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "common/event_queue.h"
 #include "common/log.h"
 #include "common/random.h"
 #include "common/stats.h"
@@ -83,34 +82,6 @@ TEST(Stats, EmptyAccumulatorIsZero)
     EXPECT_DOUBLE_EQ(a.variance(), 0.0);
 }
 
-TEST(Stats, Log2HistogramBuckets)
-{
-    Log2Histogram h;
-    h.sample(1);    // bucket 0
-    h.sample(2);    // bucket 1
-    h.sample(3);    // bucket 1
-    h.sample(1024); // bucket 10
-    EXPECT_EQ(h.bucketCount(0), 1u);
-    EXPECT_EQ(h.bucketCount(1), 2u);
-    EXPECT_EQ(h.bucketCount(10), 1u);
-    EXPECT_EQ(h.totalSamples(), 4u);
-    EXPECT_EQ(h.minSample(), 1u);
-    EXPECT_EQ(h.maxSample(), 1024u);
-}
-
-TEST(Stats, StatGroupReportsRegisteredCounters)
-{
-    Counter reads, writes;
-    reads.inc(7);
-    StatGroup g("mc");
-    g.addCounter("num_reads", &reads);
-    g.addCounter("num_writes", &writes);
-    auto values = g.counterValues();
-    EXPECT_EQ(values.at("num_reads"), 7u);
-    EXPECT_EQ(values.at("num_writes"), 0u);
-    EXPECT_NE(g.report().find("num_reads"), std::string::npos);
-}
-
 TEST(Random, DeterministicAcrossInstances)
 {
     Rng a(123), b(123);
@@ -160,61 +131,6 @@ TEST(Random, BetweenInclusive)
         seen.insert(v);
     }
     EXPECT_EQ(seen.size(), 5u);
-}
-
-TEST(EventQueue, RunsInTimeOrder)
-{
-    EventQueue q;
-    std::vector<int> order;
-    q.schedule(30, [&] { order.push_back(3); });
-    q.schedule(10, [&] { order.push_back(1); });
-    q.schedule(20, [&] { order.push_back(2); });
-    q.runAll();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-    EXPECT_EQ(q.now(), 30);
-}
-
-TEST(EventQueue, SameTickFifo)
-{
-    EventQueue q;
-    std::vector<int> order;
-    for (int i = 0; i < 5; ++i)
-        q.schedule(42, [&order, i] { order.push_back(i); });
-    q.runAll();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueue, EventsCanScheduleEvents)
-{
-    EventQueue q;
-    int fired = 0;
-    q.schedule(5, [&] {
-        ++fired;
-        q.scheduleIn(5, [&] { ++fired; });
-    });
-    q.runAll();
-    EXPECT_EQ(fired, 2);
-    EXPECT_EQ(q.now(), 10);
-}
-
-TEST(EventQueue, RunUntilStopsAndAdvancesClock)
-{
-    EventQueue q;
-    int fired = 0;
-    q.schedule(10, [&] { ++fired; });
-    q.schedule(100, [&] { ++fired; });
-    q.runUntil(50);
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(q.now(), 50);
-    EXPECT_EQ(q.nextEventTick(), 100);
-}
-
-TEST(EventQueue, SchedulingInPastPanics)
-{
-    EventQueue q;
-    q.schedule(10, [] {});
-    q.runAll();
-    EXPECT_THROW(q.schedule(5, [] {}), std::logic_error);
 }
 
 TEST(Table, RendersAlignedCells)
